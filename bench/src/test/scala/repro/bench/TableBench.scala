@@ -1,18 +1,18 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.TableOutput
+import repro.exp.PaperTables
 
-/** Base for the per-table benchmark suites: prints the reproduced table
-  * (paper numbers inline) and asserts its shape checks.
+/** One benchmark test per paper table, in registry order. Each prints
+  * its reproduced rows into the bench log next to the paper's numbers,
+  * and fails if a shape check breaks. One table:
+  * `sbt "bench/testOnly repro.bench.TableBench -- -t \"Table 9\""`.
   */
-abstract class TableBench extends SparkSpec {
-  def emit(out: TableOutput): Unit = {
-    println(s"\n== ${out.title} ==")
-    out.lines.foreach(println)
-    out.checks.foreach { case (n, ok) =>
-      println(s"  [${if (ok) "ok" else "FAIL"}] $n")
+class TableBench extends SparkSpec {
+  for ((id, table) <- PaperTables.all)
+    test(s"Table $id") {
+      val out = table(spark)
+      out.emit()
+      assert(out.failed.isEmpty, s"shape checks failed: ${out.failed.mkString("; ")}")
     }
-    assert(out.failed.isEmpty, s"shape checks failed: ${out.failed.mkString("; ")}")
-  }
 }

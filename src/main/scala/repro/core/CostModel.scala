@@ -115,7 +115,6 @@ object CostModel {
       (2.0 * n, out.toDouble, ms)
     }
     // Features: [1, I, Im, Om]; on one "worker" I == Im.
-    val x = rows.map { case (i, _, _) => Array(1.0, i, i, 0.0) }.toArray
     val xo = rows.map { case (i, o, _) => Array(1.0, i, i, o) }.toArray
     val y = rows.map(_._3).toArray
     // I and Im are collinear on a single worker; fold them: fit

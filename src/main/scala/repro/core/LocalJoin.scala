@@ -15,25 +15,15 @@ object LocalJoin {
   /** Join two point arrays; returns (s-index, t-index) pairs. */
   def join(s: Array[Array[Double]], t: Array[Array[Double]], band: BandSpec): Array[(Int, Int)] = {
     val out = new ArrayBuffer[(Int, Int)]()
-    if (s.isEmpty || t.isEmpty) return out.toArray
-    // Sort T indices by A1; binary search the window [sA1-e1, sA1+e1].
-    val tIdx = t.indices.toArray.sortBy(i => t(i)(0))
-    val tA1 = tIdx.map(i => t(i)(0))
-    val e1 = band.eps(0)
-    var si = 0
-    while (si < s.length) {
-      val sp = s(si)
-      val loV = sp(0) - e1
-      val hiV = sp(0) + e1
-      var lo = lowerBound(tA1, loV)
-      while (lo < tA1.length && tA1(lo) <= hiV) {
-        val ti = tIdx(lo)
-        if (band.matches(sp, t(ti))) out += ((si, ti))
-        lo += 1
-      }
-      si += 1
-    }
+    probe(s, t, band)((si, ti) => out += ((si, ti)))
     out.toArray
+  }
+
+  /** Count matches without materializing pairs (used by calibration). */
+  def countMatches(s: Array[Array[Double]], t: Array[Array[Double]], band: BandSpec): Long = {
+    var n = 0L
+    probe(s, t, band)((_, _) => n += 1)
+    n
   }
 
   /** First index whose value is >= key (array must be sorted). */
@@ -46,24 +36,27 @@ object LocalJoin {
     lo
   }
 
-  /** Count matches without materializing pairs (used by calibration). */
-  def countMatches(s: Array[Array[Double]], t: Array[Array[Double]], band: BandSpec): Long = {
-    if (s.isEmpty || t.isEmpty) return 0L
+  /** Sort T indices by A1; for each s, binary-search the window
+    * [sA1-ε1, sA1+ε1] and report every (s-index, t-index) in it that
+    * satisfies the full band condition.
+    */
+  private def probe(s: Array[Array[Double]], t: Array[Array[Double]], band: BandSpec)(
+      onMatch: (Int, Int) => Unit): Unit = {
+    if (s.isEmpty || t.isEmpty) return
     val tIdx = t.indices.toArray.sortBy(i => t(i)(0))
     val tA1 = tIdx.map(i => t(i)(0))
     val e1 = band.eps(0)
-    var n = 0L
     var si = 0
     while (si < s.length) {
       val sp = s(si)
       val hiV = sp(0) + e1
       var lo = lowerBound(tA1, sp(0) - e1)
       while (lo < tA1.length && tA1(lo) <= hiV) {
-        if (band.matches(sp, t(tIdx(lo)))) n += 1
+        val ti = tIdx(lo)
+        if (band.matches(sp, t(ti))) onMatch(si, ti)
         lo += 1
       }
       si += 1
     }
-    n
   }
 }

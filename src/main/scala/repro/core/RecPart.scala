@@ -7,8 +7,9 @@ import scala.collection.mutable.ArrayBuffer
 /** Which rule ends the repeat-loop of Algorithm 1 (§4.2). */
 sealed trait Termination
 object Termination {
-  /** Cost-model driven: stop when predicted join time stops improving by
-    * >= 1% over a window of `w` iterations; winner minimizes `M`.
+  /** Cost-model driven: winner minimizes `M`. The paper's windowed
+    * early stop is not implemented; the loop runs to its iteration cap
+    * (DESIGN.md §6).
     */
   case object Applied extends Termination
   /** Model-free: stop once duplication overhead exceeds the smallest
@@ -24,11 +25,8 @@ object Termination {
   * @param load       per-worker load model β2·I + β3·O
   * @param costModel  running-time model for the applied termination rule
   * @param termination which stopping rule / winner definition to use
-  * @param maxIters   hard cap on repeat-loop iterations (0 = 12·w)
-  * @param minImprovement applied-rule improvement threshold per window
-  *                       (paper: 1%; <= 0 — the default — disables the
-  *                       early stop and runs to the cap, see the note at
-  *                       the window)
+  * @param gridFallback also offer non-small leaves the internal 1-Bucket
+  *                   step (see `bestSplit`)
   */
 final case class RecPartConfig(
     w: Int,
@@ -36,11 +34,7 @@ final case class RecPartConfig(
     load: LoadModel = LoadModel(),
     costModel: CostModel = CostModel.default,
     termination: Termination = Termination.Applied,
-    maxIters: Int = 0,
-    minImprovement: Double = 0.0,
-    gridFallback: Boolean = false) {
-  def iterCap: Int = if (maxIters > 0) maxIters else math.max(12 * w, 80)
-}
+    gridFallback: Boolean = false)
 
 /** Sample-estimated state of the partitioning after an iteration. */
 final case class IterStats(
@@ -50,11 +44,6 @@ final case class IterStats(
     dupOverhead: Double, loadOverhead: Double,
     predictedTime: Double, objective: Double)
 
-/** Final per-leaf sample statistics (diagnostics / tests). */
-final case class LeafStat(id: Int, r: Int, c: Int,
-                          sW: Double, tW: Double, oW: Double,
-                          score: Double, split: String, small: Boolean)
-
 /** Result of running the optimizer. */
 final case class RecPartResult(
     partitioning: TreePartitioning,
@@ -62,8 +51,7 @@ final case class RecPartResult(
     chosenIteration: Int,
     optTimeMs: Double,
     est: IterStats,
-    trajectory: Vector[IterStats],
-    leafStats: Seq[LeafStat])
+    trajectory: Vector[IterStats])
 
 /** RecPart (Algorithms 1 and 2): recursive partitioning of the
   * d-dimensional join-attribute space driven by the split score
@@ -91,6 +79,9 @@ object RecPart {
   private case object IncRow extends Split
   private case object IncCol extends Split
 
+  /** A leaf's best split with its ΔVar and ranking score ΔVar/ΔDup. */
+  private final case class Candidate(score: Double, dVar: Double, split: Split)
+
   // Mutable tree: a Slot owns the current node so a leaf can be replaced
   // in place when it is split.
   private final class Slot { var node: MNode = null }
@@ -109,7 +100,7 @@ object RecPart {
     var r: Int = 1
     var c: Int = 1
     var stamp: Int = 0
-    var best: Option[(Double, Split)] = None
+    var best: Option[Candidate] = None
 
     val sW: Double = sPts.iterator.map(_.weight).sum
     val tW: Double = tPts.iterator.map(_.weight).sum
@@ -132,7 +123,10 @@ object RecPart {
   private final case class QE(score: Double, leafId: Int, stamp: Int)
   private val qeOrd: Ordering[QE] = Ordering.by((q: QE) => (q.score, -q.leafId))
 
-  /** Run the optimizer on a drawn sample.
+  /** Run the optimizer on a drawn sample (Algorithm 1). The tree grows
+    * once; whenever an iteration's objective beats every earlier one,
+    * the tree is materialized, so the winner is the earliest iteration
+    * with the minimal objective.
     *
     * @param rootRegion exact bounding box of S ∪ T in join-attribute
     *                   space (used only for the "small partition" check)
@@ -140,54 +134,6 @@ object RecPart {
   def optimize(sample: JoinSample, rootRegion: Region, band: BandSpec,
                cfg: RecPartConfig): RecPartResult = {
     val t0 = System.nanoTime()
-    val (traj, _) = run(sample, rootRegion, band, cfg, iterCap = None)
-    val best = traj.minBy(s => (s.objective, s.iter))
-    val (_, state) = run(sample, rootRegion, band, cfg, iterCap = Some(best.iter))
-    val part = materialize(state, band, cfg)
-    val ms = (System.nanoTime() - t0) / 1e6
-    val stats = state.leaves.values.map { l =>
-      LeafStat(l.id, l.r, l.c, l.sW, l.tW, l.oW,
-        l.best.map(_._1).getOrElse(0.0),
-        l.best.map(_._2.toString).getOrElse("none"),
-        l.region.smallEverywhere(band))
-    }.toSeq
-    RecPartResult(part, traj.size - 1, best.iter, ms, best, traj, stats)
-  }
-
-  /** Convenience wrapper: sample from DataFrames, compute the exact root
-    * bounding box, then optimize.
-    */
-  def fromDataFrames(s: DataFrame, t: DataFrame, dims: Seq[String], band: BandSpec,
-                     cfg: RecPartConfig, kIn: Int = 8000, kOut: Int = 8000,
-                     seed: Long = 42): RecPartResult = {
-    val sample = Samples.draw(s, t, dims, band, kIn, kOut, seed)
-    val region = exactBounds(s, t, dims)
-    optimize(sample, region, band, cfg)
-  }
-
-  /** Exact per-dimension min/max over S ∪ T. */
-  def exactBounds(s: DataFrame, t: DataFrame, dims: Seq[String]): Region = {
-    import org.apache.spark.sql.functions._
-    val u = s.select(dims.map(c => col(c).cast("double").as(c)): _*)
-      .unionByName(t.select(dims.map(c => col(c).cast("double").as(c)): _*))
-    val aggs = dims.flatMap(c => Seq(min(col(c)), max(col(c))))
-    val row = u.agg(aggs.head, aggs.tail: _*).collect()(0)
-    val lo = Array.tabulate(dims.length)(i => row.getDouble(2 * i))
-    val hi = Array.tabulate(dims.length)(i => row.getDouble(2 * i + 1))
-    Region(lo, hi)
-  }
-
-  // ---------------------------------------------------------------------
-  // Main loop
-  // ---------------------------------------------------------------------
-
-  private final class State(
-      val leaves: mutable.LinkedHashMap[Int, Leaf],
-      val rootSlot: Slot,
-      val sCount: Long, val tCount: Long, val outEst: Double)
-
-  private def run(sample: JoinSample, rootRegion: Region, band: BandSpec,
-                  cfg: RecPartConfig, iterCap: Option[Int]): (Vector[IterStats], State) = {
     val rootSlot = new Slot
     var nextId = 0
     val leaves = mutable.LinkedHashMap.empty[Int, Leaf]
@@ -201,9 +147,6 @@ object RecPart {
       l
     }
 
-    val root = newLeaf(rootSlot, rootRegion, sample.sPoints, sample.tPoints, sample.pairs)
-    val state = new State(leaves, rootSlot, sample.sCount, sample.tCount, sample.outputEstimate)
-
     val k = variancePrefactor(cfg.w)
     val minDup = dupFloor(sample)
     val pq = mutable.PriorityQueue.empty[QE](qeOrd)
@@ -211,85 +154,96 @@ object RecPart {
     def rescore(l: Leaf): Unit = {
       l.stamp += 1
       l.best = bestSplit(l, band, cfg, k, minDup)
-      l.best.foreach { case (sc, _) => if (sc > 0) pq.enqueue(QE(sc, l.id, l.stamp)) }
+      l.best.foreach(b => if (b.score > 0) pq.enqueue(QE(b.score, l.id, l.stamp)))
     }
-    rescore(root)
+    rescore(newLeaf(rootSlot, rootRegion, sample.sPoints, sample.tPoints, sample.pairs))
 
+    val input0 = (sample.sCount + sample.tCount).toDouble
+    val l0 = cfg.load.lowerBound(sample.sCount.toDouble, sample.tCount.toDouble,
+      sample.outputEstimate, cfg.w)
     val traj = Vector.newBuilder[IterStats]
-    var iter = 0
-    var stats = snapshot(state, cfg, iter)
+    var stats = snapshot(leaves.values, input0, l0, cfg, 0)
     traj += stats
-    var bestObjective = stats.objective
-    val bestAt = ArrayBuffer(bestObjective) // best objective after i iterations
+    var best = stats
+    var bestPart = materialize(rootSlot, band, cfg)
     var minLoadOH = stats.loadOverhead
+    val cap = math.max(12 * cfg.w, 80) // repeat-loop iteration cap
 
-    val cap = iterCap.getOrElse(cfg.iterCap)
-    var done = iter >= cap
-
+    var done = false
     while (!done) {
       // Pop the highest-scoring live leaf (Algorithm 1 line 6).
       var picked: Option[Leaf] = None
       while (picked.isEmpty && pq.nonEmpty) {
         val qe = pq.dequeue()
         leaves.get(qe.leafId) match {
-          case Some(l) if l.stamp == qe.stamp && l.best.exists(_._1 > 0) => picked = Some(l)
+          case Some(l) if l.stamp == qe.stamp && l.best.exists(_.score > 0) => picked = Some(l)
           case _ => // stale entry
         }
       }
       picked match {
         case None => done = true
         case Some(leaf) =>
-          leaf.best.get._2 match {
+          leaf.best.get.split match {
             case RegularSplit(dim, x, dupT) =>
-              applyRegular(leaf, dim, x, dupT, band, newLeaf, leaves)
-              // children were created by applyRegular; rescore them.
-              leaves.values.toSeq.filter(_.best == null).foreach(rescore)
+              val (l, r) = applyRegular(leaf, dim, x, dupT, band, newLeaf)
+              leaves.remove(leaf.id)
+              rescore(l); rescore(r)
             case IncRow => leaf.r += 1; rescore(leaf)
             case IncCol => leaf.c += 1; rescore(leaf)
           }
-          iter += 1
-          stats = snapshot(state, cfg, iter)
+          stats = snapshot(leaves.values, input0, l0, cfg, stats.iter + 1)
           traj += stats
-          if (stats.objective < bestObjective) bestObjective = stats.objective
-          bestAt += bestObjective
-          if (stats.loadOverhead < minLoadOH) minLoadOH = stats.loadOverhead
-
-          if (iter >= cap) done = true
-          else if (iterCap.isEmpty) cfg.termination match {
-            case Termination.Theoretical =>
-              // Duplication only grows; once it exceeds the best load
-              // overhead seen, no later iteration can win.
-              if (stats.dupOverhead > minLoadOH) done = true
-            case Termination.Applied =>
-              // The paper stops when predicted join time improves < 1%
-              // over a window of w iterations — a pure optimization-time
-              // saver. At our sample granularity the priority queue can
-              // spend far more than w iterations on diminishing
-              // zero-duplication splits (which leave max worker load
-              // unchanged) before reaching the split that matters, so by
-              // default (minImprovement <= 0) we run to the cap and let
-              // the winner-selection pick the best iteration; a positive
-              // minImprovement restores the paper's windowed stop.
-              if (cfg.minImprovement > 0) {
-                val win = 4 * cfg.w
-                if (iter >= win) {
-                  val before = bestAt(iter - win)
-                  if (bestObjective > before * (1 - cfg.minImprovement)) done = true
-                }
-              }
+          // Double.compare is a total order (NaN last); strict, so ties
+          // keep the earlier iteration.
+          if (java.lang.Double.compare(stats.objective, best.objective) < 0) {
+            best = stats
+            bestPart = materialize(rootSlot, band, cfg)
           }
+          if (stats.loadOverhead < minLoadOH) minLoadOH = stats.loadOverhead
+          // Duplication only grows; under the theoretical rule, once it
+          // exceeds the best load overhead seen, no later iteration can
+          // win. The applied rule runs to the cap (DESIGN.md §6).
+          done = stats.iter >= cap || (cfg.termination == Termination.Theoretical &&
+            stats.dupOverhead > minLoadOH)
       }
     }
-    (traj.result(), state)
+    val trajectory = traj.result()
+    RecPartResult(bestPart, trajectory.size - 1, best.iter,
+      (System.nanoTime() - t0) / 1e6, best, trajectory)
+  }
+
+  /** Convenience wrapper: sample from DataFrames, compute the exact root
+    * bounding box, then optimize.
+    */
+  def fromDataFrames(s: DataFrame, t: DataFrame, dims: Seq[String], band: BandSpec,
+                     cfg: RecPartConfig, kIn: Int = 8000, kOut: Int = 8000,
+                     seed: Long = 42): RecPartResult = {
+    val sample = Samples.draw(s, t, dims, band, kIn, kOut, seed)
+    val region = exactBounds(s, t, dims)
+    optimize(sample, region, band, cfg)
+  }
+
+  /** Exact per-dimension min/max over S ∪ T. When both inputs are
+    * empty there are no bounds; the region degenerates to the origin.
+    */
+  def exactBounds(s: DataFrame, t: DataFrame, dims: Seq[String]): Region = {
+    import org.apache.spark.sql.functions._
+    val u = s.select(dims.map(c => col(c).cast("double").as(c)): _*)
+      .unionByName(t.select(dims.map(c => col(c).cast("double").as(c)): _*))
+    val aggs = dims.flatMap(c => Seq(min(col(c)), max(col(c))))
+    val row = u.agg(aggs.head, aggs.tail: _*).collect()(0)
+    def bound(i: Int): Double = if (row.isNullAt(i)) 0.0 else row.getDouble(i)
+    Region(Array.tabulate(dims.length)(i => bound(2 * i)),
+      Array.tabulate(dims.length)(i => bound(2 * i + 1)))
   }
 
   /** `(w-1)/w²` — the prefactor of `V[P] = (w-1)/w² Σ l_p²` (§4.2). */
   def variancePrefactor(w: Int): Double = (w - 1).toDouble / (w.toDouble * w)
 
+  /** Replace `leaf` by an inner node and return its two new children. */
   private def applyRegular(
       leaf: Leaf, dim: Int, x: Double, duplicateT: Boolean, band: BandSpec,
-      newLeaf: (Slot, Region, Array[WPoint], Array[WPoint], Array[WPair]) => Leaf,
-      leaves: mutable.LinkedHashMap[Int, Leaf]): Unit = {
+      newLeaf: (Slot, Region, Array[WPoint], Array[WPoint], Array[WPair]) => Leaf): (Leaf, Leaf) = {
     val e = band.eps(dim)
     val (regL, regR) = leaf.region.split(dim, x)
     val (sL, sR, tL, tR) =
@@ -305,11 +259,7 @@ object RecPart {
     val ls = new Slot; val rs = new Slot
     leaf.slot.node = new MInner(dim, x, duplicateT, ls, rs)
     val childL = newLeaf(ls, regL, sL, tL, pL)
-    val childR = newLeaf(rs, regR, sR, tR, pR)
-    // Mark children as needing a rescore (picked up by the caller).
-    childL.best = null
-    childR.best = null
-    leaves.remove(leaf.id)
+    (childL, newLeaf(rs, regR, sR, tR, pR))
   }
 
   // ---------------------------------------------------------------------
@@ -317,7 +267,7 @@ object RecPart {
   // ---------------------------------------------------------------------
 
   private def bestSplit(leaf: Leaf, band: BandSpec, cfg: RecPartConfig,
-                        k: Double, minDup: Double): Option[(Double, Split)] = {
+                        k: Double, minDup: Double): Option[Candidate] = {
     if (oneBucketMode(leaf, band)) bestGridIncrement(leaf, cfg, k, minDup)
     else {
       val regular = bestRegularSplit(leaf, band, cfg, k, minDup)
@@ -341,40 +291,11 @@ object RecPart {
         // RecPart.
         val grid = bestGridIncrement(leaf, cfg, k, minDup)
         (regular, grid) match {
-          case (Some(r), Some(g)) =>
-            val rVar = varianceOf(r, leaf, band, cfg, k)
-            val gVar = varianceOf(g, leaf, band, cfg, k)
-            Some(if (gVar > 4 * rVar) g else r)
+          case (Some(r), Some(g)) => Some(if (g.dVar > 4 * r.dVar) g else r)
           case (r, g) => r.orElse(g)
         }
       }
     }
-  }
-
-  /** Recompute the ΔVar of a scored option (scores are ΔVar/dup; undo is
-    * cheaper than threading ΔVar through every return).
-    */
-  private def varianceOf(opt: (Double, Split), leaf: Leaf, band: BandSpec,
-                         cfg: RecPartConfig, k: Double): Double = opt._2 match {
-    case IncRow => k * (leaf.sumSq(leaf.r, leaf.c, cfg.load) -
-      leaf.sumSq(leaf.r + 1, leaf.c, cfg.load))
-    case IncCol => k * (leaf.sumSq(leaf.r, leaf.c, cfg.load) -
-      leaf.sumSq(leaf.r, leaf.c + 1, cfg.load))
-    case RegularSplit(dim, x, dupT) =>
-      val lm = cfg.load
-      val e = band.eps(dim)
-      def below(pts: Array[WPoint], v: Double) =
-        pts.iterator.filter(_.x(dim) < v).map(_.weight).sum
-      val (sL, sR, tL, tR) =
-        if (dupT) (below(leaf.sPts, x), leaf.sW - below(leaf.sPts, x),
-          below(leaf.tPts, x + e), leaf.tW - below(leaf.tPts, x - e))
-        else (below(leaf.sPts, x + e), leaf.sW - below(leaf.sPts, x - e),
-          below(leaf.tPts, x), leaf.tW - below(leaf.tPts, x))
-      val coord: WPair => Double = if (dupT) _.s(dim) else _.t(dim)
-      val oL = leaf.pairs.iterator.filter(p => coord(p) < x).map(_.weight).sum
-      val l1 = lm.load(sL + tL, oL)
-      val l2 = lm.load(sR + tR, leaf.oW - oL)
-      k * (leaf.sumSq(1, 1, lm) - l1 * l1 - l2 * l2)
   }
 
   /** A leaf switches to internal 1-Bucket partitioning when it is small
@@ -408,7 +329,7 @@ object RecPart {
     else varReduction / math.max(dup, minDup)
 
   private def bestGridIncrement(leaf: Leaf, cfg: RecPartConfig,
-                                k: Double, minDup: Double): Option[(Double, Split)] = {
+                                k: Double, minDup: Double): Option[Candidate] = {
     val lm = cfg.load
     val cur = leaf.sumSq(leaf.r, leaf.c, lm)
     val varRow = k * (cur - leaf.sumSq(leaf.r + 1, leaf.c, lm))
@@ -416,12 +337,12 @@ object RecPart {
     val sRow = score(varRow, leaf.tW, minDup) // extra row duplicates T once more
     val sCol = score(varCol, leaf.sW, minDup) // extra column duplicates S once more
     if (sRow <= 0 && sCol <= 0) None
-    else if (sRow >= sCol) Some((sRow, IncRow))
-    else Some((sCol, IncCol))
+    else if (sRow >= sCol) Some(Candidate(sRow, varRow, IncRow))
+    else Some(Candidate(sCol, varCol, IncCol))
   }
 
   private def bestRegularSplit(leaf: Leaf, band: BandSpec, cfg: RecPartConfig,
-                               k: Double, minDup: Double): Option[(Double, Split)] = {
+                               k: Double, minDup: Double): Option[Candidate] = {
     val lm = cfg.load
     // Relative duplication floor: charging a split less than 2% of the
     // leaf's own input makes sliver splits (high ratio, negligible ΔVar)
@@ -430,7 +351,14 @@ object RecPart {
     val floorDup = math.max(minDup, 0.02 * (leaf.sW + leaf.tW))
     val curSq = leaf.sumSq(1, 1, lm)
     var bestScore = 0.0
-    var best: Option[Split] = None
+    var best: Option[Candidate] = None
+    def consider(dVar: Double, dup: Double, dim: Int, x: Double, duplicateT: Boolean): Unit = {
+      val sc = score(dVar, dup, floorDup)
+      if (sc > bestScore) {
+        bestScore = sc
+        best = Some(Candidate(sc, dVar, RegularSplit(dim, x, duplicateT)))
+      }
+    }
 
     val d = band.d
     var dim = 0
@@ -453,11 +381,9 @@ object RecPart {
             val tR = leaf.tW - weightBelow(tVals, tPref, x - e)
             val oL = weightBelow(oSVals, oSPref, x)
             val oR = leaf.oW - oL
-            val dup = tL + tR - leaf.tW
             val l1 = lm.load(sL + tL, oL)
             val l2 = lm.load(sR + tR, oR)
-            val sc = score(k * (curSq - l1 * l1 - l2 * l2), dup, floorDup)
-            if (sc > bestScore) { bestScore = sc; best = Some(RegularSplit(dim, x, duplicateT = true)) }
+            consider(k * (curSq - l1 * l1 - l2 * l2), tL + tR - leaf.tW, dim, x, duplicateT = true)
           }
           // S-split: partition T at x, duplicate S within ε of x.
           if (cfg.symmetric) {
@@ -467,18 +393,16 @@ object RecPart {
             val sR = leaf.sW - weightBelow(sVals, sPref, x - e)
             val oL = weightBelow(oTVals, oTPref, x)
             val oR = leaf.oW - oL
-            val dup = sL + sR - leaf.sW
             val l1 = lm.load(sL + tL, oL)
             val l2 = lm.load(sR + tR, oR)
-            val sc = score(k * (curSq - l1 * l1 - l2 * l2), dup, floorDup)
-            if (sc > bestScore) { bestScore = sc; best = Some(RegularSplit(dim, x, duplicateT = false)) }
+            consider(k * (curSq - l1 * l1 - l2 * l2), sL + sR - leaf.sW, dim, x, duplicateT = false)
           }
           i += 1
         }
       }
       dim += 1
     }
-    best.map(s => (bestScore, s))
+    best
   }
 
   private def sortedPrefix(pts: Array[WPoint], dim: Int): (Array[Double], Array[Double]) = {
@@ -509,11 +433,15 @@ object RecPart {
   // Per-iteration estimates, termination bookkeeping, materialization
   // ---------------------------------------------------------------------
 
-  private def snapshot(state: State, cfg: RecPartConfig, iter: Int): IterStats = {
+  /** Estimates after `iter` iterations; `input0` = |S|+|T| and `l0` is
+    * the max-load lower bound L0, both from the sample.
+    */
+  private def snapshot(leaves: Iterable[Leaf], input0: Double, l0: Double,
+                       cfg: RecPartConfig, iter: Int): IterStats = {
     val lm = cfg.load
     val subs = ArrayBuffer.empty[(Double, Double, Double)] // (load, in, out)
     var estI = 0.0
-    for (l <- state.leaves.values) {
+    for (l <- leaves) {
       estI += l.inputEst
       val in = l.sW / l.r + l.tW / l.c
       val out = l.oW / (l.r.toDouble * l.c)
@@ -534,9 +462,7 @@ object RecPart {
     var mx = 0
     for (i <- 1 until cfg.w) if (wLoad(i) > wLoad(mx)) mx = i
     val lmX = wLoad(mx)
-    val input0 = (state.sCount + state.tCount).toDouble
-    val l0 = lm.lowerBound(state.sCount.toDouble, state.tCount.toDouble, state.outEst, cfg.w)
-    val dupOH = (estI - input0) / input0
+    val dupOH = if (input0 > 0) (estI - input0) / input0 else 0.0
     val loadOH = if (l0 > 0) (lmX - l0) / l0 else 0.0
     val predicted = cfg.costModel.predict(estI, wIn(mx), wOut(mx))
     val objective = cfg.termination match {
@@ -547,7 +473,7 @@ object RecPart {
       predicted, objective)
   }
 
-  private def materialize(state: State, band: BandSpec, cfg: RecPartConfig): TreePartitioning = {
+  private def materialize(rootSlot: Slot, band: BandSpec, cfg: RecPartConfig): TreePartitioning = {
     var pidBase = 0
     val subLoads = ArrayBuffer.empty[Double]
     def build(slot: Slot): SplitNode = slot.node match {
@@ -562,7 +488,7 @@ object RecPart {
         while (i < l.r * l.c) { subLoads += ld; i += 1 }
         node
     }
-    val root = build(state.rootSlot)
+    val root = build(rootSlot)
     val pidWorker = Lpt.assign(subLoads.toArray, cfg.w)
     TreePartitioning(root, band, pidWorker, cfg.w)
   }

@@ -80,24 +80,30 @@ object Samples {
     }
   }
 
+  /** Smallest and largest per-side point sample the output sample is
+    * drawn from.
+    */
+  private val PairSourceMin = 8000
+  private val PairSourceCap = 64000
+
   /** Draw the full (input, output) sample set used by an optimizer.
     *
     * The output sample is produced by band-joining *dedicated* larger
-    * point samples (`kPairIn` per side): the pair yield of a sample join
-    * scales with the product of the side sizes, so the optimizer-sized
-    * input sample alone gives too coarse an output sample (each sampled
-    * pair would represent too many output tuples to balance load with).
+    * point samples (at least `PairSourceMin` per side): the pair yield of
+    * a sample join scales with the product of the side sizes, so the
+    * optimizer-sized input sample alone gives too coarse an output sample
+    * (each sampled pair would represent too many output tuples to balance
+    * load with).
     */
   def draw(
       s: DataFrame, t: DataFrame, dims: Seq[String], band: BandSpec,
-      kIn: Int, kOut: Int, seed: Long = 42, kPairIn: Int = 8000,
-      kPairCap: Int = 64000): JoinSample = {
+      kIn: Int, kOut: Int, seed: Long = 42): JoinSample = {
     val (sp, sc) = samplePoints(s, dims, kIn / 2, seed)
     val (tp, tc) = samplePoints(t, dims, kIn / 2, seed + 1)
     // Pair yield scales with kp²/(|S||T|): double the pair-source sample
     // until the output sample is fine enough to balance load with (or the
     // inputs/cap are exhausted).
-    var kp = math.max(kPairIn, kIn / 2)
+    var kp = math.max(PairSourceMin, kIn / 2)
     var pairs = Array.empty[WPair]
     var done = false
     while (!done) {
@@ -106,7 +112,7 @@ object Samples {
         else (samplePoints(s, dims, kp, seed + 3)._1,
           samplePoints(t, dims, kp, seed + 4)._1)
       pairs = samplePairs(psp, sc, ptp, tc, band, kOut, seed + 2)
-      done = pairs.length >= kOut / 4 || kp >= kPairCap ||
+      done = pairs.length >= kOut / 4 || kp >= PairSourceCap ||
         kp >= math.min(sc, tc)
       if (!done) kp *= 2
     }

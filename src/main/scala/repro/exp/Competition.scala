@@ -1,7 +1,5 @@
 package repro.exp
 
-import repro.core._
-
 /** The paper's reported numbers for one strategy in one table row:
   * runtime/opt in seconds, I/Im/Om in millions of tuples. Negative
   * values mean "not reported / N/A".

@@ -3,12 +3,7 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.data.BandSynth
-
-/** Printable result of reproducing one paper table. */
-final case class TableOutput(title: String, lines: Seq[String],
-                             checks: Seq[(String, Boolean)]) {
-  def failed: Seq[String] = checks.collect { case (n, false) => n }
-}
+import repro.exp.PaperTables.{W, ebirdCloud, paretoPair}
 
 /** Competition-style tables of the evaluation section: Tables 2a/2b/2c
   * (band-width impact), 3 (skew), 4a-4d (scalability) and 15
@@ -17,17 +12,6 @@ final case class TableOutput(title: String, lines: Seq[String],
   * (DESIGN.md §3) and prints ours next to the paper's numbers.
   */
 object Tables {
-
-  private val W = 30
-
-  private def paretoPair(spark: SparkSession, rows: Long, z: Double, d: Int,
-                         quantize: Double = 0.0) = (
-    BandSynth.pareto(spark, rows, z, d, seed = 1001, quantize),
-    BandSynth.pareto(spark, rows, z, d, seed = 2002, quantize))
-
-  private def ebirdCloud(spark: SparkSession, scale: Double) = (
-    BandSynth.ebird(spark, (Scales.EbirdRows * scale).toLong, seed = 3003),
-    BandSynth.cloud(spark, (Scales.CloudRows * scale).toLong, seed = 4004))
 
   private def checksFor(outs: Seq[CompetitionOutcome],
                         tol: Double): Seq[(String, Boolean)] =

@@ -1,9 +1,10 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import repro.baselines.{GridEps, GridStar, OneBucket}
+import repro.baselines.{GridEps, OneBucket}
 import repro.core._
 import repro.data.BandSynth
+import repro.exp.PaperTables.{W, ebirdCloud, paretoPair}
 
 /** The non-competition tables: grid tuning (5, 6), IEJoin (7/11),
   * cost-ratio sensitivity (8/13), symmetric partitioning (9/14),
@@ -12,19 +13,9 @@ import repro.data.BandSynth
   */
 object TablesSpecial {
 
-  private val W = 30
-
-  private def paretoPair(spark: SparkSession, rows: Long, z: Double, d: Int) = (
-    BandSynth.pareto(spark, rows, z, d, seed = 1001),
-    BandSynth.pareto(spark, rows, z, d, seed = 2002))
-
   private def rvPair(spark: SparkSession, rows: Long, z: Double, d: Int) = (
     BandSynth.pareto(spark, rows, z, d, seed = 1001),
     BandSynth.rvPareto(spark, rows, z, d, seed = 2002))
-
-  private def ebirdCloud(spark: SparkSession) = (
-    BandSynth.ebird(spark, Scales.EbirdRows, seed = 3003),
-    BandSynth.cloud(spark, Scales.CloudRows, seed = 4004))
 
   // -------------------------------------------------------------------
   // Table 5 — Grid-ε vs Grid*: grid-size impact on (model) join time

@@ -63,6 +63,24 @@ class BandJoinExecTest extends SparkSpec {
     assert(routed.count() == 100 * part.c)
   }
 
+  test("empty inputs: RecPart gives finite estimates and the join gives no pairs") {
+    val dims = Seq("a1", "a2")
+    val band = BandSpec(Array(0.5, 0.5))
+    val full = TestData.randomDf(spark, 60, 2, 103)
+    val empty = full.limit(0)
+    for ((label, s, t) <- Seq(("both empty", empty, empty), ("S empty", empty, full),
+                              ("T empty", full, empty))) {
+      val res = RecPart.fromDataFrames(s, t, dims, band, RecPartConfig(w))
+      if (label == "both empty")
+        assert(SplitTree.leaves(res.partitioning.root).size == 1, label)
+      assert(res.est.productIterator.forall {
+        case v: Double => !v.isNaN && !v.isInfinite
+        case _ => true
+      }, s"$label: ${res.est}")
+      assert(BandJoinExec.pairs(s, t, dims, band, res.partitioning).count() == 0, label)
+    }
+  }
+
   test("disjoint inputs produce empty output under every strategy") {
     val s = TestData.randomDf(spark, 80, 1, 101, lo = 0, hi = 1)
     val t = TestData.randomDf(spark, 80, 1, 102, lo = 100, hi = 101)

@@ -164,6 +164,59 @@ class RecPartTest extends AnyFunSuite {
     assert(a.chosenIteration == b.chosenIteration)
   }
 
+  test("partitioning is pinned on fixed full samples") {
+    // Literal trees, worker maps and estimates: any change to split
+    // scoring, tie-breaking, leaf numbering or winner selection shows up.
+    def lattice(rnd: scala.util.Random, n: Int, d: Int, f: Double => Double): Seq[Array[Double]] =
+      Seq.fill(n)(Array.fill(d)(math.round(f(rnd.nextDouble()) * 10) / 10.0))
+    def check(s: Seq[Array[Double]], t: Seq[Array[Double]], band: BandSpec, cfg: RecPartConfig)(
+        root: SplitNode, pidWorker: Seq[Int], chosen: Int, est: IterStats): Unit = {
+      val res = RecPart.optimize(fullSampleN(s, t, band), region(s ++ t, band.d), band, cfg)
+      assert(res.partitioning.root == root)
+      assert(res.partitioning.pidWorker.toSeq == pidWorker)
+      assert(res.chosenIteration == chosen)
+      assert(res.est == est)
+    }
+
+    // RecPart-S, applied rule: the winner is iteration 2 of 80.
+    val rndA = new scala.util.Random(11)
+    check(lattice(rndA, 40, 2, _ * 10), lattice(rndA, 40, 2, _ * 10), BandSpec(Array(0.8, 0.8)),
+      RecPartConfig(3, symmetric = false))(
+      InnerNode(0, 6.800000000000001, true,
+        InnerNode(1, 4.800000000000001, true, LeafNode(3, 1, 1, 0), LeafNode(4, 1, 1, 1)),
+        LeafNode(2, 1, 1, 2)),
+      Seq(1, 0, 2), 2,
+      IterStats(2, 3, 84.0, 30.0, 17.0, 137.0, 0.05, 0.15126050420168066, 221.0, 221.0))
+
+    // Symmetric RecPart with the grid fallback: an output clique at (1, 1)
+    // ends in a 2x2 grid leaf; S-splits and T-splits both occur.
+    val rndB = new scala.util.Random(7)
+    def clique() = Seq.fill(20)(Array(1.0, 1.0)) ++ Seq(Array(1.3, 1.2)) ++ lattice(rndB, 12, 2, _ * 10)
+    check(clique(), clique(), BandSpec(Array(0.5, 0.5)),
+      RecPartConfig(4, symmetric = true, gridFallback = true))(
+      InnerNode(0, 1.9, true,
+        InnerNode(1, 2.8000000000000003, true, LeafNode(3, 2, 2, 0), LeafNode(4, 1, 1, 4)),
+        InnerNode(1, 5.9, false,
+          InnerNode(0, 6.55, true, LeafNode(7, 1, 1, 5), LeafNode(8, 1, 1, 6)),
+          LeafNode(6, 1, 1, 7))),
+      Seq(0, 1, 2, 3, 3, 1, 2, 0), 8,
+      IterStats(8, 8, 108.0, 31.0, 111.25, 235.25, 0.6363636363636364, 0.3328611898016997,
+        343.25, 343.25))
+
+    // Theoretical rule: stops after 17 iterations, the winner is iteration 5.
+    val rndC = new scala.util.Random(13)
+    check(lattice(rndC, 20, 1, u => u * u * 30), lattice(rndC, 20, 1, u => u * u * 30),
+      BandSpec(Array(0.3)), RecPartConfig(4, termination = Termination.Theoretical))(
+      InnerNode(0, 9.0, true,
+        InnerNode(0, 1.55, true, LeafNode(3, 1, 1, 0),
+          InnerNode(0, 4.9, true, LeafNode(7, 1, 1, 1), LeafNode(8, 1, 1, 2))),
+        InnerNode(0, 20.85, true, LeafNode(5, 1, 1, 3),
+          InnerNode(0, 25.6, true, LeafNode(9, 1, 1, 4), LeafNode(10, 1, 1, 5)))),
+      Seq(0, 2, 3, 1, 2, 3), 5,
+      IterStats(5, 6, 40.0, 11.0, 2.0, 46.0, 0.0, 0.045454545454545456, 86.0,
+        0.045454545454545456))
+  }
+
   test("resulting partitioning obeys the exactly-once law") {
     val rnd = new scala.util.Random(53)
     val s = Seq.fill(150)(Array(rnd.nextDouble() * 20, rnd.nextDouble() * 20))
