@@ -11,11 +11,13 @@ final case class BandSpec(eps: Array[Double]) extends Serializable {
   /** Number of join attributes (dimensions). */
   def d: Int = eps.length
 
-  /** True iff the pair (s, t) is in the band-join output. */
+  /** True iff the pair (s, t) is in the band-join output. As in SQL, a
+    * NaN coordinate never matches.
+    */
   def matches(s: Array[Double], t: Array[Double]): Boolean = {
     var i = 0
     while (i < eps.length) {
-      if (math.abs(s(i) - t(i)) > eps(i)) return false
+      if (!(math.abs(s(i) - t(i)) <= eps(i))) return false
       i += 1
     }
     true

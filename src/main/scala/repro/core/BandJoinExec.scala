@@ -53,9 +53,11 @@ object BandJoinExec {
       it.foreach { r =>
         if (r.side == 0) { sIds += r.id; sPts += r.x } else { tIds += r.id; tPts += r.x }
       }
-      LocalJoin.join(sPts.toArray, tPts.toArray, band).iterator.map { case (si, ti) =>
-        PairRow(sIds(si), tIds(ti), sPts(si), tPts(ti))
+      val out = scala.collection.mutable.ArrayBuffer.empty[PairRow]
+      LocalJoin.forEachMatch(sPts.toArray, tPts.toArray, band) { (si, ti) =>
+        out += PairRow(sIds(si), tIds(ti), sPts(si), tPts(ti))
       }
+      out.iterator
     }
   }
 

@@ -1,7 +1,11 @@
 package repro.core
 
+import java.util.SplittableRandom
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
+import scala.collection.mutable.{ArrayBuffer, ArrayBuilder}
 import scala.util.Random
+import scala.util.hashing.byteswap64
 
 /** A sampled input tuple: its join-attribute point and the number of
   * full-data tuples it represents.
@@ -34,50 +38,44 @@ final case class JoinSample(
 
 object Samples {
 
-  /** Extract join-attribute points `dims` from `df` via reservoir-free
-    * uniform sampling (exact fraction with a deterministic seed), capped
-    * at `k` points. Returns the points and the exact input count.
+  /** Uniform sample without replacement of at most `k` join-attribute
+    * points `dims` of `df`, weighted to sum to the input size, and the
+    * exact input count, from one Spark job.
     */
   def samplePoints(df: DataFrame, dims: Seq[String], k: Int, seed: Long): (Array[WPoint], Long) = {
-    val total = df.count()
-    if (total == 0) return (Array.empty, 0L)
-    val frac = math.min(1.0, (k.toDouble * 1.2) / total)
-    val rows = df.select(dims.map(org.apache.spark.sql.functions.col): _*)
-      .sample(withReplacement = false, frac, seed)
-      .limit(k)
-      .collect()
-    val pts = rows.map { r =>
-      Array.tabulate(dims.length)(i => r.get(i) match {
-        case d: java.lang.Double  => d.doubleValue
-        case l: java.lang.Long    => l.doubleValue
-        case i2: java.lang.Integer => i2.doubleValue
-        case f: java.lang.Float   => f.doubleValue
-        case other => other.toString.toDouble
-      })
-    }
-    val w = if (pts.isEmpty) 0.0 else total.toDouble / pts.length
-    (pts.map(WPoint(_, w)), total)
+    val Seq(side) = scan(Seq(df), dims, k, seed)
+    (side.prefix(k), side.count)
   }
 
   /** Band-join the two input samples and weight-scale the result into an
-    * output sample of at most `kOut` pairs.
+    * output sample of at most `kOut` pairs. The subsample depends only on
+    * the matching (s-index, t-index) set, not on the kernel's order.
     */
   def samplePairs(
       sPts: Array[WPoint], sCount: Long,
       tPts: Array[WPoint], tCount: Long,
       band: BandSpec, kOut: Int, seed: Long): Array[WPair] = {
     if (sPts.isEmpty || tPts.isEmpty) return Array.empty
-    val raw = LocalJoin.join(sPts.map(_.x), tPts.map(_.x), band)
+    val found = ArrayBuilder.make[Long]
+    LocalJoin.forEachMatch(sPts.map(_.x), tPts.map(_.x), band)((si, ti) =>
+      found += (si.toLong << 32) | ti)
+    val raw = found.result()
+    java.util.Arrays.sort(raw)
     val pairWeight = (sCount.toDouble / sPts.length) * (tCount.toDouble / tPts.length)
-    val all = raw.map { case (si, ti) => WPair(sPts(si).x, tPts(ti).x, pairWeight) }
-    if (all.length <= kOut) all
-    else {
-      // Subsample pairs, scaling weight up so the total stays unbiased.
+    val k = math.min(kOut, raw.length)
+    if (k < raw.length) {
+      // Partial Fisher–Yates: raw(0 until k) becomes a uniform subsample.
       val rnd = new Random(seed)
-      val picked = rnd.shuffle(all.indices.toVector).take(kOut).toArray
-      val scale = all.length.toDouble / kOut
-      picked.map(i => all(i).copy(weight = all(i).weight * scale))
+      var i = 0
+      while (i < k) {
+        val j = i + rnd.nextInt(raw.length - i)
+        val x = raw(i); raw(i) = raw(j); raw(j) = x
+        i += 1
+      }
     }
+    // Subsampling scales each pair's weight up so the total stays unbiased.
+    val w = if (k < raw.length) pairWeight * (raw.length.toDouble / k) else pairWeight
+    Array.tabulate(k)(i => WPair(sPts((raw(i) >>> 32).toInt).x, tPts(raw(i).toInt).x, w))
   }
 
   /** Smallest and largest per-side point sample the output sample is
@@ -86,20 +84,24 @@ object Samples {
   private val PairSourceMin = 8000
   private val PairSourceCap = 64000
 
-  /** Draw the full (input, output) sample set used by an optimizer.
+  /** Draw the full (input, output) sample set used by an optimizer, from
+    * one Spark job.
     *
     * The output sample is produced by band-joining *dedicated* larger
     * point samples (at least `PairSourceMin` per side): the pair yield of
     * a sample join scales with the product of the side sizes, so the
     * optimizer-sized input sample alone gives too coarse an output sample
     * (each sampled pair would represent too many output tuples to balance
-    * load with).
+    * load with). Every sample is a prefix of one random order per side
+    * (see `scan`), so the input sample is a prefix of each pair-source
+    * sample.
     */
   def draw(
       s: DataFrame, t: DataFrame, dims: Seq[String], band: BandSpec,
       kIn: Int, kOut: Int, seed: Long = 42): JoinSample = {
-    val (sp, sc) = samplePoints(s, dims, kIn / 2, seed)
-    val (tp, tc) = samplePoints(t, dims, kIn / 2, seed + 1)
+    val cap = math.max(PairSourceCap, kIn / 2)
+    val Seq(sr, tr) = scan(Seq(s, t), dims, cap, seed)
+    val (sc, tc) = (sr.count, tr.count)
     // Pair yield scales with kp²/(|S||T|): double the pair-source sample
     // until the output sample is fine enough to balance load with (or the
     // inputs/cap are exhausted).
@@ -107,15 +109,82 @@ object Samples {
     var pairs = Array.empty[WPair]
     var done = false
     while (!done) {
-      val (psp, ptp) =
-        if (kp <= kIn / 2) (sp, tp)
-        else (samplePoints(s, dims, kp, seed + 3)._1,
-          samplePoints(t, dims, kp, seed + 4)._1)
-      pairs = samplePairs(psp, sc, ptp, tc, band, kOut, seed + 2)
-      done = pairs.length >= kOut / 4 || kp >= PairSourceCap ||
-        kp >= math.min(sc, tc)
-      if (!done) kp *= 2
+      pairs = samplePairs(sr.prefix(kp), sc, tr.prefix(kp), tc, band, kOut, seed + 2)
+      done = pairs.length >= kOut / 4 || kp >= cap || kp >= math.min(sc, tc)
+      if (!done) kp = math.min(2 * kp, cap)
     }
-    JoinSample(sp, tp, pairs, sc, tc)
+    JoinSample(sr.prefix(kIn / 2), tr.prefix(kIn / 2), pairs, sc, tc)
+  }
+
+  /** One input's exact row count and up to `cap` of its points in a
+    * uniformly random order: every prefix is a uniform sample without
+    * replacement.
+    */
+  private final case class Ranked(points: Array[Array[Double]], count: Long) {
+    /** The first `k` points, each weighted `count / k`. */
+    def prefix(k: Int): Array[WPoint] = {
+      val n = math.min(k, points.length)
+      val w = count.toDouble / n
+      Array.tabulate(n)(i => WPoint(points(i), w))
+    }
+  }
+
+  /** One partition of one input: its row count and a uniformly random
+    * ordered sample of at most `cap` of its points.
+    */
+  private final case class Kept(side: Int, count: Long, points: Array[Array[Double]])
+
+  /** The generator of one input's partition (`part` = -1: the driver's). */
+  private def rng(seed: Long, side: Int, part: Int): SplittableRandom =
+    new SplittableRandom(byteswap64(byteswap64(seed) + 2L * part + side))
+
+  /** Rank the inputs `dfs` in one Spark job. Each partition counts its
+    * rows and keeps a reservoir of at most `cap` points, shuffled, using a
+    * generator seeded by (seed, input, partition). The driver interleaves
+    * an input's partitions, drawing the next point from each with
+    * probability proportional to its rows not yet drawn. Every prefix of
+    * the result is then a uniform sample of the input without replacement.
+    */
+  private def scan(dfs: Seq[DataFrame], dims: Seq[String], cap: Int, seed: Long): Seq[Ranked] = {
+    val d = dims.length
+    val parts = dfs.zipWithIndex.map { case (df, side) =>
+      df.select(dims.map(c => col(c).cast("double")): _*).queryExecution.toRdd
+        .mapPartitionsWithIndex { (part, rows) =>
+          val rnd = rng(seed, side, part)
+          val kept = ArrayBuffer.empty[Array[Double]]
+          var count = 0L
+          rows.foreach { r =>
+            count += 1
+            dims.indices.foreach(i => require(!r.isNullAt(i), s"null in join attribute ${dims(i)}"))
+            val slot = if (kept.length < cap) kept.length.toLong else rnd.nextLong(count)
+            if (slot < cap) {
+              val x = Array.tabulate(d)(r.getDouble)
+              if (slot == kept.length) kept += x else kept(slot.toInt) = x
+            }
+          }
+          for (i <- kept.indices.reverse) {
+            val j = rnd.nextInt(i + 1)
+            val x = kept(i); kept(i) = kept(j); kept(j) = x
+          }
+          Iterator(Kept(side, count, kept.toArray))
+        }
+    }
+    val kept = dfs.head.sparkSession.sparkContext.union(parts).collect()
+    dfs.indices.map { side =>
+      val ps = kept.filter(_.side == side)
+      val left = ps.map(_.count)
+      val taken = new Array[Int](ps.length)
+      val rnd = rng(seed, side, -1)
+      var total = left.sum
+      val out = Array.fill(math.min(cap.toLong, total).toInt) {
+        var r = rnd.nextLong(total)
+        var p = 0
+        while (r >= left(p)) { r -= left(p); p += 1 }
+        left(p) -= 1; total -= 1
+        taken(p) += 1
+        ps(p).points(taken(p) - 1)
+      }
+      Ranked(out, ps.map(_.count).sum)
+    }
   }
 }

@@ -63,6 +63,77 @@ class LocalJoinTest extends AnyFunSuite {
     })
   }
 
+  /** Points for `band`: lattice points one band width apart (on cell
+    * boundaries, so many pairs are exactly ε apart, some jittered to just
+    * across a boundary) or uniform points,
+    * shifted by `offset` (negative values, or rv-pareto's 1e6 scale). A
+    * dimension with ε = 0 always takes lattice values, so that it has
+    * exact matches.
+    */
+  private def points(band: BandSpec, offset: Double, lattice: Boolean): Gen[Array[Array[Double]]] = {
+    val coord = (0 until band.d).toList.map { i =>
+      val e = band.eps(i)
+      if (e == 0) Gen.choose(0, 1).map(offset + _)
+      else if (lattice) Gen.zip(Gen.choose(-1, 2), Gen.oneOf(0.0, 0.0, 1e-17, -1e-17))
+        .map { case (m, jitter) => offset + m * e + jitter }
+      else Gen.choose(-2.0, 2.0).map(offset + _ * e)
+    }
+    Gen.choose(0, 40).flatMap(n => Gen.listOfN(n, Gen.sequence[List[Double], Double](coord)))
+      .map(_.map(_.toArray).toArray)
+  }
+
+  private val instance = for {
+    d <- Gen.choose(1, 8)
+    eps <- Gen.listOfN(d, Gen.oneOf(Gen.const(0.0), Gen.oneOf(0.1, 0.25, 0.3, 1.0), Gen.choose(0.01, 2.0)))
+    band = BandSpec(eps.toArray)
+    offset <- Gen.oneOf(0.0, -3.7, 1e6, -1e6)
+    lattice <- Gen.oneOf(true, false)
+    s <- points(band, offset, lattice)
+    t <- points(band, offset, lattice)
+  } yield (s, t, band)
+
+  test("property: d up to 8, mixed and zero band widths, offsets and lattices equal brute force") {
+    Props.hold(Prop.forAll(instance) { case (s, t, b) =>
+      val out = LocalJoin.join(s, t, b)
+      val truth = brute(s, t, b)
+      Prop(out.length == out.toSet.size && out.toSet == truth) :| s"$b: ${out.length} vs ${truth.size}"
+    }, minTests = 400)
+  }
+
+  test("property: countMatches equals join length on the same instances") {
+    Props.hold(Prop.forAll(instance) { case (s, t, b) =>
+      LocalJoin.countMatches(s, t, b) == LocalJoin.join(s, t, b).length
+    }, minTests = 200)
+  }
+
+  test("pairs exactly ε apart across cell boundaries and zero are all found") {
+    // Lattice of pitch ε around 0 and around 1e6: every neighbour pair is
+    // ε apart in a grid dimension, and s − t rounds in both directions.
+    for (off <- Seq(0.0, 1e6); e <- Seq(0.1, 0.3, 0.25)) {
+      val pts = (for (i <- -3 to 3; j <- -3 to 3) yield Array(off + i * e, off + j * e, off + i * e)).toArray
+      val b = BandSpec(Array(e, e, e))
+      assert(LocalJoin.join(pts, pts, b).toSet == brute(pts, pts, b), s"offset $off, ε $e")
+    }
+  }
+
+  test("a difference that rounds down to exactly ε matches in A1 and in a grid dimension") {
+    // 1/3 − (−1e-17) rounds to 1/3, but −1e-17 lies below the rounded
+    // s − ε = 0, in the cell below it.
+    val e = 1.0 / 3
+    val b = BandSpec(Array(e, e))
+    val s = Array(Array(e, e))
+    val t = Array(Array(-1e-17, 0.0), Array(0.0, -1e-17), Array(-1e-17, -1e-17))
+    assert(t.forall(b.matches(s(0), _)))
+    assert(LocalJoin.join(s, t, b).toSet == Set((0, 0), (0, 1), (0, 2)))
+  }
+
+  test("NaN coordinates match nothing") {
+    val b = BandSpec(Array(1.0, 1.0))
+    val s = Array(Array(0.0, Double.NaN), Array(Double.NaN, 0.0), Array(0.0, 0.0))
+    val t = Array(Array(0.0, 0.0), Array(0.0, Double.NaN))
+    assert(LocalJoin.join(s, t, b).toSet == Set((2, 0)))
+  }
+
   test("lowerBound finds first index >= key") {
     val a = Array(1.0, 2.0, 2.0, 5.0)
     assert(LocalJoin.lowerBound(a, 0.0) == 0)

@@ -1,8 +1,34 @@
 package repro.core
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{SparkSpec, TestData}
+import scala.jdk.CollectionConverters._
 
 class SamplesTest extends SparkSpec {
+
+  /** Spark jobs that `body` starts, counted by a listener. A marker job
+    * afterwards shows that the listener has seen every earlier event.
+    */
+  private def sparkJobs(body: => Unit): Int = {
+    val sc = spark.sparkContext
+    val groups = new ConcurrentLinkedQueue[String]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        groups.add(String.valueOf(e.properties.getProperty("spark.jobGroup.id")))
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("counted", "jobs under test")
+      try body finally sc.clearJobGroup()
+      sc.setJobGroup("marker", "listener drain")
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      val deadline = System.nanoTime() + 30000000000L
+      while (!groups.contains("marker") && System.nanoTime() < deadline) Thread.sleep(5)
+      assert(groups.contains("marker"), "listener bus did not drain")
+      groups.asScala.count(_ == "counted")
+    } finally sc.removeSparkListener(listener)
+  }
 
   test("samplePoints caps at k and weights sum to the input size") {
     val df = TestData.randomDf(spark, 1000, 2, 1)
@@ -66,5 +92,59 @@ class SamplesTest extends SparkSpec {
     val df = spark.range(100).selectExpr("id", "cast(id % 10 as int) as a1")
     val (pts, _) = Samples.samplePoints(df, Seq("a1"), 1000, 1)
     assert(pts.forall(p => p.x(0) == math.floor(p.x(0))))
+  }
+
+  test("sample is unbiased on input sorted across partitions") {
+    // a1 = id rises through 4 partitions of 2000, 6000, 6000 and 6000
+    // rows. A sampler that keeps the first k rows of an overshooting
+    // Bernoulli draw under-samples the last partitions, and one that
+    // ignores partition sizes over-samples the first; either moves the
+    // sample mean well away from the input's.
+    val n = 20000
+    val df = spark.range(0, 2000, 1, 1).union(spark.range(2000, n, 1, 3))
+      .selectExpr("id", "cast(id as double) as a1")
+    val k = 2000
+    val (pts, total) = Samples.samplePoints(df, Seq("a1"), k, 3)
+    assert(total == n && pts.length == k)
+    val mean = pts.map(_.x(0)).sum / k
+    // The sample mean's standard error is about n/sqrt(12k) = 129; allow 4.5 of them.
+    assert(math.abs(mean - (n - 1) / 2.0) < 0.03 * n, s"sample mean $mean vs ${(n - 1) / 2.0}")
+  }
+
+  test("draw runs one Spark job, through several doubling rounds and on empty inputs") {
+    // Disjoint inputs: the pair sample stays empty, so the pair-source
+    // sample doubles 8000 -> 16000 -> 32000 >= |S|.
+    val s = spark.range(0, 20000, 1, 4).selectExpr("id", "cast(id as double) * 1e-4 as a1")
+    val t = spark.range(0, 20000, 1, 4).selectExpr("id", "100 + cast(id as double) * 1e-4 as a1")
+    var js: JoinSample = null
+    assert(sparkJobs { js = Samples.draw(s, t, Seq("a1"), BandSpec(Array(0.1)), 1000, 1000) } == 1)
+    assert(js.pairs.isEmpty && js.sCount == 20000 && js.tCount == 20000)
+    assert(js.sPoints.length == 500 && js.tPoints.length == 500)
+    val empty = s.filter("a1 < 0")
+    assert(sparkJobs { js = Samples.draw(empty, empty, Seq("a1"), BandSpec(Array(0.1)), 1000, 1000) } == 1)
+    assert(js.sCount == 0 && js.tCount == 0 && js.sPoints.isEmpty && js.pairs.isEmpty)
+  }
+
+  test("the input sample is a prefix of the pair-source sample") {
+    val s = TestData.randomDf(spark, 3000, 2, 21).cache()
+    val t = TestData.randomDf(spark, 3000, 2, 22).cache()
+    val band = BandSpec(Array(0.1, 0.1))
+    val small = Samples.draw(s, t, Seq("a1", "a2"), band, 200, 100, seed = 5)
+    val large = Samples.draw(s, t, Seq("a1", "a2"), band, 2000, 100, seed = 5)
+    assert(small.sPoints.map(_.x.toSeq).toSeq == large.sPoints.take(100).map(_.x.toSeq).toSeq)
+    assert(small.tPoints.map(_.x.toSeq).toSeq == large.tPoints.take(100).map(_.x.toSeq).toSeq)
+  }
+
+  test("samplePairs subsamples reproducibly and keeps the weight total") {
+    val rnd = new scala.util.Random(4)
+    val sp = Array.fill(300)(WPoint(Array(rnd.nextDouble()), 10.0))
+    val tp = Array.fill(300)(WPoint(Array(rnd.nextDouble()), 10.0))
+    val band = BandSpec(Array(0.05))
+    val a = Samples.samplePairs(sp, 3000, tp, 3000, band, 200, 8)
+    val b = Samples.samplePairs(sp, 3000, tp, 3000, band, 200, 8)
+    assert(a.length == 200)
+    assert(a.map(p => (p.s.toSeq, p.t.toSeq, p.weight)).toSeq == b.map(p => (p.s.toSeq, p.t.toSeq, p.weight)).toSeq)
+    val all = Samples.samplePairs(sp, 3000, tp, 3000, band, Int.MaxValue, 8)
+    assert(math.abs(a.map(_.weight).sum - all.map(_.weight).sum) < 1e-6 * all.map(_.weight).sum)
   }
 }
