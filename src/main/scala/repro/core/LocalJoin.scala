@@ -1,6 +1,6 @@
 package repro.core
 
-import scala.collection.mutable.{ArrayBuffer, ArrayBuilder}
+import scala.collection.mutable.ArrayBuffer
 
 /** The local band-join kernel: the paper's §6.1 index-nested-loops join
   * on A1, refined by an ε-grid on up to two further dimensions with a
@@ -86,21 +86,12 @@ object LocalJoin {
     val a1 = tPts.map(_(0))
     // Groups: runs of equal (c1, c2) in sorted order; group g holds sorted
     // positions [start(g), start(g + 1)).
-    val startB = ArrayBuilder.make[Int]
-    val g1B = ArrayBuilder.make[Long]
-    val g2B = ArrayBuilder.make[Long]
-    var k = 0
-    while (k < n) {
-      val i = tIdx(k)
-      if (k == 0 || c1(i) != c1(tIdx(k - 1)) || c2(i) != c2(tIdx(k - 1))) {
-        startB += k; g1B += c1(i); g2B += c2(i)
-      }
-      k += 1
-    }
-    startB += n
-    val start = startB.result()
-    val g1 = g1B.result()
-    val g2 = g2B.result()
+    val sc1 = tIdx.map(c1)
+    val sc2 = tIdx.map(c2)
+    val start = (0 to n).filter(k =>
+      k == 0 || k == n || sc1(k) != sc1(k - 1) || sc2(k) != sc2(k - 1)).toArray
+    val g1 = start.init.map(sc1)
+    val g2 = start.init.map(sc2)
     val nG = g1.length
     // First group whose cells are >= (a, b) in lexicographic order.
     def groupAt(a: Long, b: Long): Int = {
