@@ -25,48 +25,9 @@ import repro.core._
   *     covering scheme CS_IO builds on — see DESIGN.md §5 for why this
   *     replaces the paper's O(n^5 log n) exact tiling).
   *
-  * An S-tuple is shipped to every region that owns a candidate cell in
-  * its row; T-tuples symmetrically by column. Each candidate cell is
-  * owned by exactly one region, so each output pair is produced exactly
-  * once — in the region owning cell (row(s), col(t)).
+  * The result is a `MatrixCover`: S routes by row, T by column.
   */
-final class CsIoPartitioning(
-    sBounds: Array[Array[Double]],
-    tBounds: Array[Array[Double]],
-    g: Int,
-    cellRegion: Map[Long, Int],
-    rowRegions: Array[Array[Int]],
-    colRegions: Array[Array[Int]],
-    regionWorker: Array[Int],
-    val numWorkers: Int) extends BandPartitioning {
-
-  def numRegions: Int = regionWorker.length
-
-  /** Index of the quantile range containing `x` under the lex order. */
-  def rowOf(x: Array[Double]): Int = CsIo.rangeOf(sBounds, x)
-  def colOf(x: Array[Double]): Int = CsIo.rangeOf(tBounds, x)
-
-  private def fallback(i: Int): Array[Int] =
-    Array(math.floorMod(i, math.max(numRegions, 1)))
-
-  override def assignS(x: Array[Double], salt: Long): Array[Int] = {
-    val r = rowRegions(rowOf(x))
-    if (r.nonEmpty) r else fallback(rowOf(x))
-  }
-
-  override def assignT(x: Array[Double], salt: Long): Array[Int] = {
-    val c = colRegions(colOf(x))
-    if (c.nonEmpty) c else fallback(colOf(x))
-  }
-
-  override def partitionWorker(pid: Int): Int = regionWorker(pid)
-
-  override def pairPartition(s: Array[Double], sSalt: Long,
-                             t: Array[Double], tSalt: Long): Int =
-    cellRegion(rowOf(s).toLong * g + colOf(t))
-}
-
-final case class CsIoResult(part: CsIoPartitioning, optTimeMs: Double,
+final case class CsIoResult(part: MatrixCover, optTimeMs: Double,
                             numRegions: Int, numCandidateCells: Int)
 
 object CsIo {
@@ -82,7 +43,10 @@ object CsIo {
     0
   }
 
-  /** Number of boundaries lex-<= x == index of the range containing x. */
+  /** Number of boundaries lex-<= x == index of the range containing x.
+    * Bounds shorter than x compare on their prefix only: one-element
+    * bounds range-partition on A1.
+    */
   def rangeOf(bounds: Array[Array[Double]], x: Array[Double]): Int = {
     var lo = 0; var hi = bounds.length
     while (lo < hi) {
@@ -101,39 +65,27 @@ object CsIo {
     }.toArray
   }
 
-  private final case class RangeStats(count: Long, lo: Array[Double], hi: Array[Double])
+  private[baselines] final case class RangeStats(count: Long, lo: Array[Double], hi: Array[Double])
 
-  /** Exact count + bounding box per quantile range, via one Spark pass. */
-  private def rangeStats(df: DataFrame, dims: Seq[String],
-                         bounds: Array[Array[Double]], g: Int): Array[RangeStats] = {
-    val spark = df.sparkSession
-    import spark.implicits._
+  /** Exact count + bounding box per quantile range, from one Spark job
+    * without a shuffle.
+    */
+  private[baselines] def rangeStats(df: DataFrame, dims: Seq[String],
+                                    bounds: Array[Array[Double]], g: Int): Array[RangeStats] = {
     val d = dims.length
-    val stats = df.select(dims.map(c => col(c).cast("double")): _*)
-      .map { r =>
-        val x = Array.tabulate(d)(i => r.getDouble(i))
-        (rangeOf(bounds, x), x)
-      }
-      .groupByKey(_._1)
-      .mapGroups { (rng, it) =>
-        var cnt = 0L
-        val lo = Array.fill(d)(Double.PositiveInfinity)
-        val hi = Array.fill(d)(Double.NegativeInfinity)
-        it.foreach { case (_, x) =>
-          cnt += 1
-          var i = 0
-          while (i < d) {
-            if (x(i) < lo(i)) lo(i) = x(i)
-            if (x(i) > hi(i)) hi(i) = x(i)
-            i += 1
-          }
-        }
-        (rng, cnt, lo, hi)
-      }
-      .collect()
-    val out = Array.fill(g)(RangeStats(0L, Array.fill(d)(0.0), Array.fill(d)(-1.0)))
-    stats.foreach { case (rng, cnt, lo, hi) => out(rng) = RangeStats(cnt, lo, hi) }
-    out
+    def add(a: RangeStats, b: RangeStats): RangeStats = RangeStats(a.count + b.count,
+      Array.tabulate(d)(i => if (b.lo(i) < a.lo(i)) b.lo(i) else a.lo(i)),
+      Array.tabulate(d)(i => if (b.hi(i) > a.hi(i)) b.hi(i) else a.hi(i)))
+    val empty = RangeStats(0L, Array.fill(d)(Double.PositiveInfinity),
+      Array.fill(d)(Double.NegativeInfinity))
+    df.select(dims.map(c => col(c).cast("double")): _*).rdd.aggregate(Array.fill(g)(empty))(
+      (acc, r) => {
+        val x = Array.tabulate(d)(r.getDouble)
+        val k = rangeOf(bounds, x)
+        acc(k) = add(acc(k), RangeStats(1L, x, x))
+        acc
+      },
+      (a, b) => Array.tabulate(g)(k => add(a(k), b(k))))
   }
 
   private def boxesJoinable(a: RangeStats, b: RangeStats, band: BandSpec): Boolean = {
@@ -150,9 +102,9 @@ object CsIo {
     * input (0 picks `min(192, max(2w, 48))`).
     */
   def build(s: DataFrame, t: DataFrame, dims: Seq[String], band: BandSpec,
-            w: Int, sample: JoinSample, load: LoadModel = LoadModel(),
-            g0: Int = 0): CsIoResult = {
+            w: Int, sample: JoinSample, g0: Int = 0): CsIoResult = {
     val t0 = System.nanoTime()
+    val load = LoadModel()
     val g = if (g0 > 0) g0 else math.min(192, math.max(2 * w, 48))
 
     val sBounds = quantileBounds(sample.sPoints, g)
@@ -160,12 +112,7 @@ object CsIo {
     val sStats = rangeStats(s, dims, sBounds, g)
     val tStats = rangeStats(t, dims, tBounds, g)
 
-    // Sampled output weight per coarsened-matrix cell.
-    val outW = scala.collection.mutable.HashMap.empty[Long, Double]
-    sample.pairs.foreach { p =>
-      val key = rangeOf(sBounds, p.s).toLong * g + rangeOf(tBounds, p.t)
-      outW(key) = outW.getOrElse(key, 0.0) + p.weight
-    }
+    val outW = MatrixCover.cellOutput(sample.pairs, sBounds, tBounds, g)
 
     // Candidate (relevant) columns per row, sorted.
     val relByRow: Array[Array[Int]] = Array.tabulate(g) { i =>
@@ -262,29 +209,13 @@ object CsIo {
     }
     val regions = bestPack
 
-    // Assign each candidate cell to the (unique) rectangle covering it.
-    val cellRegion = scala.collection.mutable.HashMap.empty[Long, Int]
-    for (i <- 0 until g; j <- relByRow(i)) {
-      val r = regions.indices.find(k =>
-        regions(k).r1 <= i && i <= regions(k).r2 &&
-          regions(k).c1 <= j && j <= regions(k).c2)
-      r.foreach(k => cellRegion(i.toLong * g + j) = k)
-    }
-    val rowRegions = Array.tabulate(g) { i =>
-      relByRow(i).flatMap(j => cellRegion.get(i.toLong * g + j)).distinct.sorted
-    }
-    val colRegions = Array.tabulate(g) { j =>
-      (0 until g).flatMap(i => cellRegion.get(i.toLong * g + j)).distinct.sorted.toArray
-    }
-    // LPT over region loads → workers. A disjoint-input instance has no
-    // candidate cells at all: keep one inert region so every tuple still
-    // has a (trivial) home, as Definition 1 requires.
-    val regionLoads = regions.map(r => load.load(r.in, r.out)).toArray
-    val regionWorker =
-      if (regions.isEmpty) Array(0) else Lpt.assign(regionLoads, w)
-
-    val part = new CsIoPartitioning(sBounds, tBounds, g, cellRegion.toMap,
-      rowRegions, colRegions, regionWorker, w)
+    // Each candidate cell belongs to the one rectangle covering it.
+    val cellRegion = (for {
+      (r, k) <- regions.zipWithIndex; i <- r.r1 to r.r2
+      j <- relByRow(i) if r.c1 <= j && j <= r.c2
+    } yield (i.toLong * g + j) -> k).toMap
+    val part = MatrixCover(sBounds, tBounds, g, cellRegion,
+      regions.map(_.in).toArray, regions.map(_.out).toArray, w)
     val ms = (System.nanoTime() - t0) / 1e6
     CsIoResult(part, ms, regions.length, numCells)
   }

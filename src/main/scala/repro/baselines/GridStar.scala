@@ -48,13 +48,15 @@ object GridStar {
     Eval(j, estI, inW(mx), outWk(mx), model.predict(estI, inW(mx), outWk(mx)))
   }
 
+  /** Largest grid multiplier searched. */
+  private val MaxMultiplier = 1 << 15
+
   /** Search the multiplier minimizing M and return the tuned Grid-ε. */
-  def tune(band: BandSpec, w: Int, sample: JoinSample,
-           model: CostModel = CostModel.default, maxMultiplier: Int = 1 << 15): Result = {
+  def tune(band: BandSpec, w: Int, sample: JoinSample): Result = {
     val t0 = System.nanoTime()
     val sweep = scala.collection.mutable.ArrayBuffer.empty[Eval]
     def eval(j: Int): Eval = {
-      val e = evaluate(band, w, j, sample, model)
+      val e = evaluate(band, w, j, sample, CostModel.default)
       sweep += e
       e
     }
@@ -63,7 +65,7 @@ object GridStar {
     var j = 2
     var grown = best
     var increasesInARow = 0
-    while (j <= maxMultiplier && increasesInARow < 2) {
+    while (j <= MaxMultiplier && increasesInARow < 2) {
       grown = eval(j)
       if (grown.predicted < best.predicted) { best = grown; increasesInARow = 0 }
       else increasesInARow += 1
@@ -71,7 +73,7 @@ object GridStar {
     }
     // Linear refinement between the doubling neighbours of the best j.
     val lo = math.max(1, best.multiplier / 2)
-    val hi = math.min(maxMultiplier, best.multiplier * 2)
+    val hi = math.min(MaxMultiplier, best.multiplier * 2)
     val step = math.max(1, (hi - lo) / 16)
     var k = lo
     while (k <= hi) {

@@ -1,7 +1,6 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.core._
 
 /** Quantile-based partitioning of distributed IEJoin (Khayyat et al.,
@@ -11,53 +10,11 @@ import repro.core._
   * a join task, and tasks are assigned to the w workers. A block that
   * belongs to multiple joinable pairs is duplicated once per task —
   * the source of IEJoin's high input duplication.
+  *
+  * The result is a `MatrixCover` whose rows are S's blocks, columns T's
+  * blocks, and regions single-cell tasks.
   */
-final class IEJoinPartitioning(
-    sBounds: Array[Double],
-    tBounds: Array[Double],
-    taskOf: Map[Long, Int],
-    sBlockTasks: Array[Array[Int]],
-    tBlockTasks: Array[Array[Int]],
-    taskWorker: Array[Int],
-    val numWorkers: Int) extends BandPartitioning {
-
-  def numTasks: Int = taskWorker.length
-
-  def sBlockOf(x: Array[Double]): Int = IEJoinPart.blockOf(sBounds, x(0))
-  def tBlockOf(x: Array[Double]): Int = IEJoinPart.blockOf(tBounds, x(0))
-
-  private def nT: Int = tBlockTasks.length
-
-  private def fallback(i: Int): Array[Int] =
-    Array(math.floorMod(i, math.max(numTasks, 1)))
-
-  override def assignS(x: Array[Double], salt: Long): Array[Int] = {
-    val t = sBlockTasks(sBlockOf(x))
-    if (t.nonEmpty) t else fallback(sBlockOf(x))
-  }
-
-  override def assignT(x: Array[Double], salt: Long): Array[Int] = {
-    val t = tBlockTasks(tBlockOf(x))
-    if (t.nonEmpty) t else fallback(tBlockOf(x))
-  }
-
-  override def partitionWorker(pid: Int): Int = taskWorker(pid)
-
-  override def pairPartition(s: Array[Double], sSalt: Long,
-                             t: Array[Double], tSalt: Long): Int =
-    taskOf(sBlockOf(s).toLong * nT + tBlockOf(t))
-}
-
 object IEJoinPart {
-
-  def blockOf(bounds: Array[Double], v: Double): Int = {
-    var lo = 0; var hi = bounds.length
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (bounds(mid) <= v) lo = mid + 1 else hi = mid
-    }
-    lo
-  }
 
   /** Build the partitioning for a given `sizePerBlock`. Block boundaries
     * come from `approxQuantile` over the full input (the "approximate
@@ -65,63 +22,42 @@ object IEJoinPart {
     * its optimization time.
     */
   def build(s: DataFrame, t: DataFrame, dims: Seq[String], band: BandSpec,
-            w: Int, sizePerBlock: Int, sample: JoinSample,
-            load: LoadModel = LoadModel()): (IEJoinPartitioning, Double) = {
+            w: Int, sizePerBlock: Int, sample: JoinSample): (MatrixCover, Double) = {
     val t0 = System.nanoTime()
     val a1 = dims.head
 
-    def bounds(df: DataFrame, n: Long): Array[Double] = {
+    // One-element bounds: the blocks are A1 ranges.
+    def bounds(df: DataFrame, n: Long): Array[Array[Double]] = {
       val nBlocks = math.max(1, math.ceil(n.toDouble / sizePerBlock).toInt)
       if (nBlocks == 1) Array.empty
       else {
         val probs = (1 until nBlocks).map(_.toDouble / nBlocks).toArray
-        df.stat.approxQuantile(a1, probs, 0.001)
+        df.stat.approxQuantile(a1, probs, 0.001).map(Array(_))
       }
     }
-    val sCountTotal = s.count(); val tCountTotal = t.count()
-    val sBounds = bounds(s, sCountTotal)
-    val tBounds = bounds(t, tCountTotal)
+    val sBounds = bounds(s, sample.sCount)
+    val tBounds = bounds(t, sample.tCount)
     val nS = sBounds.length + 1
     val nT = tBounds.length + 1
-
-    def blockCounts(df: DataFrame, bs: Array[Double], n: Int): Array[Long] = {
-      val spark = df.sparkSession
-      import spark.implicits._
-      val m = df.select(col(a1).cast("double")).map(r => blockOf(bs, r.getDouble(0)))
-        .groupByKey(identity).count().collect().toMap
-      Array.tabulate(n)(i => m.getOrElse(i, 0L))
-    }
-    val sCnt = blockCounts(s, sBounds, nS)
-    val tCnt = blockCounts(t, tBounds, nT)
+    val sCnt = CsIo.rangeStats(s, Seq(a1), sBounds, nS).map(_.count)
+    val tCnt = CsIo.rangeStats(t, Seq(a1), tBounds, nT).map(_.count)
 
     // A1 value range of each block, bounded by the quantile boundaries.
-    def range(bs: Array[Double], i: Int): (Double, Double) = (
-      if (i == 0) Double.NegativeInfinity else bs(i - 1),
-      if (i == bs.length) Double.PositiveInfinity else bs(i))
+    def range(bs: Array[Array[Double]], i: Int): (Double, Double) = (
+      if (i == 0) Double.NegativeInfinity else bs(i - 1)(0),
+      if (i == bs.length) Double.PositiveInfinity else bs(i)(0))
 
     val e1 = band.eps(0)
-    val outW = scala.collection.mutable.HashMap.empty[Long, Double]
-    sample.pairs.foreach { p =>
-      val key = blockOf(sBounds, p.s(0)).toLong * nT + blockOf(tBounds, p.t(0))
-      outW(key) = outW.getOrElse(key, 0.0) + p.weight
-    }
-
-    val tasks = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)]
-    for (i <- 0 until nS; j <- 0 until nT) {
-      val (sLo, sHi) = range(sBounds, i)
-      val (tLo, tHi) = range(tBounds, j)
-      if (sLo - e1 <= tHi && tLo - e1 <= sHi && sCnt(i) > 0 && tCnt(j) > 0)
-        tasks += ((i, j))
-    }
-    val taskOf = tasks.zipWithIndex.map { case ((i, j), k) => (i.toLong * nT + j, k) }.toMap
-    val sBlockTasks = Array.tabulate(nS)(i => tasks.indices.filter(k => tasks(k)._1 == i).toArray)
-    val tBlockTasks = Array.tabulate(nT)(j => tasks.indices.filter(k => tasks(k)._2 == j).toArray)
-    val taskLoads = tasks.map { case (i, j) =>
-      load.load((sCnt(i) + tCnt(j)).toDouble, outW.getOrElse(i.toLong * nT + j, 0.0))
-    }.toArray
-    val taskWorker = Lpt.assign(taskLoads, w)
-    val part = new IEJoinPartitioning(sBounds, tBounds, taskOf, sBlockTasks,
-      tBlockTasks, taskWorker, w)
+    val outW = MatrixCover.cellOutput(sample.pairs, sBounds, tBounds, nT)
+    val tasks = for {
+      i <- 0 until nS; j <- 0 until nT
+      (sLo, sHi) = range(sBounds, i)
+      (tLo, tHi) = range(tBounds, j)
+      if sLo - e1 <= tHi && tLo - e1 <= sHi && sCnt(i) > 0 && tCnt(j) > 0
+    } yield i.toLong * nT + j
+    val part = MatrixCover(sBounds, tBounds, nT, tasks.zipWithIndex.toMap,
+      tasks.map(c => (sCnt((c / nT).toInt) + tCnt((c % nT).toInt)).toDouble).toArray,
+      tasks.map(outW.getOrElse(_, 0.0)).toArray, w)
     (part, (System.nanoTime() - t0) / 1e6)
   }
 }

@@ -63,26 +63,4 @@ final case class Region(lo: Array[Double], hi: Array[Double]) extends Serializab
     val rLo = lo.clone(); rLo(dim) = x
     (Region(lo.clone(), lHi), Region(rLo, hi.clone()))
   }
-
-  def contains(p: Array[Double]): Boolean = {
-    var i = 0
-    while (i < d) {
-      if (p(i) < lo(i) || p(i) > hi(i)) return false
-      i += 1
-    }
-    true
-  }
-}
-
-object Region {
-  /** Bounding box of a set of points (used for the root partition). */
-  def bounding(points: Iterable[Array[Double]], d: Int): Region = {
-    val lo = Array.fill(d)(Double.PositiveInfinity)
-    val hi = Array.fill(d)(Double.NegativeInfinity)
-    for (p <- points; i <- 0 until d) {
-      if (p(i) < lo(i)) lo(i) = p(i)
-      if (p(i) > hi(i)) hi(i) = p(i)
-    }
-    Region(lo, hi)
-  }
 }

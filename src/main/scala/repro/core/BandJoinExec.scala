@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.{DataFrame, Dataset, Row}
 import org.apache.spark.sql.functions.col
 
 /** An input tuple routed to one partition of the join partitioning. */
@@ -24,16 +24,29 @@ final case class PairRow(sid: Long, tid: Long, s: Array[Double], t: Array[Double
   */
 object BandJoinExec {
 
+  /** `df`'s `id` as a long column followed by the join attributes
+    * `dims` as doubles.
+    */
+  private[core] def idAndDims(df: DataFrame, dims: Seq[String]): DataFrame =
+    df.select(col("id").cast("long") +: dims.map(c => col(c).cast("double")): _*)
+
+  /** The join-attribute point of a row of `idAndDims`. A null join
+    * attribute is rejected, not skipped.
+    */
+  private[core] def point(r: Row, dims: Seq[String]): Array[Double] =
+    Array.tabulate(dims.length) { i =>
+      require(!r.isNullAt(i + 1), s"null in join attribute ${dims(i)}")
+      r.getDouble(i + 1)
+    }
+
   /** Route a DataFrame's tuples: map-side explode by partition id. */
   def route(df: DataFrame, dims: Seq[String], side: Int,
             part: BandPartitioning): Dataset[Routed] = {
     val spark = df.sparkSession
     import spark.implicits._
-    val d = dims.length
-    val cols = col("id").cast("long") +: dims.map(c => col(c).cast("double"))
-    df.select(cols: _*).flatMap { r =>
+    idAndDims(df, dims).flatMap { r =>
       val id = r.getLong(0)
-      val x = Array.tabulate(d)(i => r.getDouble(i + 1))
+      val x = point(r, dims)
       val pids = if (side == 0) part.assignS(x, id) else part.assignT(x, id)
       pids.map(pid => Routed(pid, side, id, x))
     }
@@ -74,12 +87,11 @@ object BandJoinExec {
   /** DuckDB SQL producing the same (sid, tid) pair set — for the oracle.
     * The oracle stores every column as VARCHAR, hence the casts.
     */
-  def oracleSql(dims: Seq[String], band: BandSpec,
-                sTable: String = "s", tTable: String = "t"): String = {
+  def oracleSql(dims: Seq[String], band: BandSpec): String = {
     val conds = dims.zipWithIndex.map { case (c, i) =>
-      s"abs(CAST($sTable.$c AS DOUBLE) - CAST($tTable.$c AS DOUBLE)) <= ${band.eps(i)}"
+      s"abs(CAST(s.$c AS DOUBLE) - CAST(t.$c AS DOUBLE)) <= ${band.eps(i)}"
     }
-    s"SELECT CAST($sTable.id AS BIGINT) AS sid, CAST($tTable.id AS BIGINT) AS tid " +
-      s"FROM $sTable, $tTable WHERE ${conds.mkString(" AND ")}"
+    "SELECT CAST(s.id AS BIGINT) AS sid, CAST(t.id AS BIGINT) AS tid " +
+      s"FROM s, t WHERE ${conds.mkString(" AND ")}"
   }
 }

@@ -8,11 +8,41 @@ package repro.core
   */
 object Lpt {
 
+  /** An LPT schedule of partitions onto workers.
+    *
+    * @param worker the worker of each partition
+    * @param in     each worker's input sum
+    * @param out    each worker's output sum
+    * @param load   each worker's load: the sum of its partitions' loads,
+    *               added in partition-index order
+    * @param top    the most loaded worker (the first one on a tie)
+    */
+  final case class Schedule(worker: Array[Int], in: Array[Double], out: Array[Double],
+                            load: Array[Double], top: Int)
+
+  /** Schedule partitions with input `in(p)` and output `out(p)`, each
+    * weighing `load.load(in(p), out(p))`, onto `w` workers.
+    */
+  def schedule(in: Array[Double], out: Array[Double], w: Int, load: LoadModel): Schedule = {
+    val loads = Array.tabulate(in.length)(p => load.load(in(p), out(p)))
+    val worker = assign(loads, w)
+    val wIn = new Array[Double](w)
+    val wOut = new Array[Double](w)
+    val wLoad = new Array[Double](w)
+    for (p <- loads.indices) {
+      val k = worker(p)
+      wLoad(k) += loads(p); wIn(k) += in(p); wOut(k) += out(p)
+    }
+    var top = 0
+    for (k <- 1 until w) if (wLoad(k) > wLoad(top)) top = k
+    Schedule(worker, wIn, wOut, wLoad, top)
+  }
+
   /** Assign `loads(i)` to one of `w` workers; returns worker index per
     * partition. Partitions are placed heaviest-first on the currently
     * least-loaded worker (ties broken by worker index).
     */
-  def assign(loads: Array[Double], w: Int): Array[Int] = {
+  private def assign(loads: Array[Double], w: Int): Array[Int] = {
     require(w >= 1)
     val order = loads.indices.toArray.sortBy(i => (-loads(i), i))
     val workerLoad = Array.fill(w)(0.0)
@@ -28,13 +58,5 @@ object Lpt {
       workerLoad(best) += loads(p)
     }
     out
-  }
-
-  /** Max worker load under the LPT assignment. */
-  def maxLoad(loads: Array[Double], w: Int): Double = {
-    val a = assign(loads, w)
-    val workerLoad = Array.fill(w)(0.0)
-    for (i <- loads.indices) workerLoad(a(i)) += loads(i)
-    if (workerLoad.isEmpty) 0.0 else workerLoad.max
   }
 }

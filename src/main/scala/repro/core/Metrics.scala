@@ -1,7 +1,8 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset}
-import org.apache.spark.sql.functions.col
+import scala.collection.mutable
 
 /** Exact quality measures of a join partitioning (§2):
   *
@@ -38,79 +39,72 @@ object Metrics {
     * count then vastly exceeds w, which is exactly the regime the paper
     * observes (`Im = I/w` in its Grid-ε columns). `I` itself is always
     * exact via per-tuple multiplicities.
+    *
+    * Runs three Spark jobs (two past `explodeLimit`): one pass over S ∪ T
+    * for the input sizes and I, and one count per partition id each of the
+    * routed input and of the output.
     */
   def compute(s: DataFrame, t: DataFrame, dims: Seq[String],
               part: BandPartitioning, pairs: Dataset[PairRow],
-              load: LoadModel = LoadModel(),
               explodeLimit: Long = 30000000L): PartMetrics = {
-    val spark = s.sparkSession
-    import spark.implicits._
+    val load = LoadModel()
     val w = part.numWorkers
-    val d = dims.length
 
-    def points(df: DataFrame): Dataset[(Long, Array[Double])] =
-      df.select((col("id").cast("long") +: dims.map(c => col(c).cast("double"))): _*)
-        .map(r => (r.getLong(0), Array.tabulate(d)(i => r.getDouble(i + 1))))
+    def points(df: DataFrame, side: Int): RDD[(Int, Long, Array[Double])] =
+      BandJoinExec.idAndDims(df, dims).rdd.map(r => (side, r.getLong(0), BandJoinExec.point(r, dims)))
+    val both = points(s, 0).union(points(t, 1))
 
-    val sPts = points(s)
-    val tPts = points(t)
-    val sCount = sPts.count()
-    val tCount = tPts.count()
+    // (|S|, |T|, I_S, I_T)
+    val sizes = both.aggregate(new Array[Long](4))(
+      { case (a, (side, id, x)) =>
+        a(side) += 1
+        a(2 + side) += (if (side == 0) part.sMultiplicity(x, id) else part.tMultiplicity(x, id))
+        a
+      },
+      (a, b) => { for (k <- a.indices) a(k) += b(k); a })
+    val sCount = sizes(0)
+    val tCount = sizes(1)
+    val i = sizes(2) + sizes(3)
 
-    val iS = sPts.map { case (id, x) => part.sMultiplicity(x, id).toLong }
-      .reduce(_ + _)
-    val iT = tPts.map { case (id, x) => part.tMultiplicity(x, id).toLong }
-      .reduce(_ + _)
-    val i = iS + iT
-
-    val outByPid: Map[Int, Long] = pairs
-      .map(p => part.pairPartition(p.s, p.sid, p.t, p.tid))
-      .groupByKey(identity).count().collect().toMap
+    val outByPid = countByPid(pairs.rdd.map(p => part.pairPartition(p.s, p.sid, p.t, p.tid)))
     val outCount = outByPid.values.sum
 
-    val (perWorkerInput, perWorkerOutput) =
+    def schedule(inByPid: collection.Map[Int, Long]): Lpt.Schedule = {
+      val pids = (inByPid.keySet ++ outByPid.keySet).toArray.sorted
+      Lpt.schedule(pids.map(inByPid.getOrElse(_, 0L).toDouble),
+        pids.map(outByPid.getOrElse(_, 0L).toDouble), w, load)
+    }
+    val (perWorkerInput, perWorkerOutput, top, lm) =
       if (i <= explodeLimit) {
-        val inByPid: Map[Int, Long] = sPts.flatMap { case (id, x) => part.assignS(x, id) }
-          .union(tPts.flatMap { case (id, x) => part.assignT(x, id) })
-          .groupByKey(identity).count().collect().toMap
-        scheduleByRealizedLoad(inByPid, outByPid, w, load)
+        val inByPid = countByPid(both.flatMap { case (side, id, x) =>
+          if (side == 0) part.assignS(x, id) else part.assignT(x, id)
+        })
+        val sch = schedule(inByPid)
+        (sch.in.map(_.toLong), sch.out.map(_.toLong), sch.top, sch.load(sch.top))
       } else {
         // input spread uniformly (#partitions >> w); outputs still LPT'd
         val base = Array.tabulate(w)(k => i / w + (if (k < i % w) 1L else 0L))
-        val (_, outW) = scheduleByRealizedLoad(Map.empty, outByPid, w, load)
-        (base, outW)
+        val outW = schedule(Map.empty).out.map(_.toLong)
+        val loads = Array.tabulate(w)(k => load.load(base(k).toDouble, outW(k).toDouble))
+        val top = loads.indices.maxBy(loads)
+        (base, outW, top, loads(top))
       }
 
-    val workerLoads = Array.tabulate(w)(wk =>
-      load.load(perWorkerInput(wk).toDouble, perWorkerOutput(wk).toDouble))
-    var mx = 0
-    for (k <- 1 until w) if (workerLoads(k) > workerLoads(mx)) mx = k
-    val lm = workerLoads(mx)
     val l0 = load.lowerBound(sCount.toDouble, tCount.toDouble, outCount.toDouble, w)
     val input0 = (sCount + tCount).toDouble
     PartMetrics(
-      sCount, tCount, outCount, i, perWorkerInput(mx), perWorkerOutput(mx),
+      sCount, tCount, outCount, i, perWorkerInput(top), perWorkerOutput(top),
       lm, l0,
       dupOverhead = (i - input0) / input0,
       loadOverhead = if (l0 > 0) (lm - l0) / l0 else 0.0,
       perWorkerInput = perWorkerInput, perWorkerOutput = perWorkerOutput)
   }
 
-  /** LPT per-partition loads onto w workers; returns per-worker
-    * (input, output) sums. Exposed for brute-force comparison in tests.
+  /** Occurrences of each partition id in `pids`, from one Spark job
+    * without a shuffle.
     */
-  def scheduleByRealizedLoad(inByPid: Map[Int, Long], outByPid: Map[Int, Long],
-                             w: Int, load: LoadModel): (Array[Long], Array[Long]) = {
-    val pids = (inByPid.keySet ++ outByPid.keySet).toArray.sorted
-    val loads = pids.map(p => load.load(
-      inByPid.getOrElse(p, 0L).toDouble, outByPid.getOrElse(p, 0L).toDouble))
-    val assign = Lpt.assign(loads, w)
-    val inW = Array.fill(w)(0L)
-    val outW = Array.fill(w)(0L)
-    for (k <- pids.indices) {
-      inW(assign(k)) += inByPid.getOrElse(pids(k), 0L)
-      outW(assign(k)) += outByPid.getOrElse(pids(k), 0L)
-    }
-    (inW, outW)
-  }
+  private def countByPid(pids: RDD[Int]): collection.Map[Int, Long] =
+    pids.aggregate(mutable.HashMap.empty[Int, Long])(
+      (m, p) => { m(p) = m.getOrElse(p, 0L) + 1; m },
+      (a, b) => { b.foreach { case (p, n) => a(p) = a.getOrElse(p, 0L) + n }; a })
 }

@@ -22,8 +22,8 @@ object Termination {
   *
   * @param w          number of (logical) workers
   * @param symmetric  enable S-splits (RecPart) or not (RecPart-S)
-  * @param load       per-worker load model β2·I + β3·O
-  * @param costModel  running-time model for the applied termination rule
+  * @param costModel  running-time model for the applied termination rule;
+  *                   its worker-local terms β2·I + β3·O score splits
   * @param termination which stopping rule / winner definition to use
   * @param gridFallback also offer non-small leaves the internal 1-Bucket
   *                   step (see `bestSplit`)
@@ -31,7 +31,6 @@ object Termination {
 final case class RecPartConfig(
     w: Int,
     symmetric: Boolean = true,
-    load: LoadModel = LoadModel(),
     costModel: CostModel = CostModel.default,
     termination: Termination = Termination.Applied,
     gridFallback: Boolean = false)
@@ -106,18 +105,20 @@ object RecPart {
     val tW: Double = tPts.iterator.map(_.weight).sum
     val oW: Double = pairs.iterator.map(_.weight).sum
 
-    /** Load of one internal 1-Bucket sub-partition at grid (rr, cc). */
-    def subLoad(rr: Int, cc: Int, lm: LoadModel): Double =
-      lm.load(sW / rr + tW / cc, oW / (rr.toDouble * cc))
-
-    /** Σ l² over the rr·cc sub-partitions. */
+    /** Σ l² over the rr·cc internal 1-Bucket sub-partitions. */
     def sumSq(rr: Int, cc: Int, lm: LoadModel): Double = {
-      val l = subLoad(rr, cc, lm)
+      val l = lm.load(sW / rr + tW / cc, oW / (rr.toDouble * cc))
       rr.toDouble * cc * l * l
     }
 
     /** Estimated shuffled input of this leaf incl. internal duplication. */
     def inputEst: Double = c * sW + r * tW
+
+    /** Append the input and output of each of the r·c sub-partitions. */
+    def addSubs(in: ArrayBuffer[Double], out: ArrayBuffer[Double]): Unit = {
+      in ++= Iterator.fill(r * c)(sW / r + tW / c)
+      out ++= Iterator.fill(r * c)(oW / (r.toDouble * c))
+    }
   }
 
   private final case class QE(score: Double, leafId: Int, stamp: Int)
@@ -159,7 +160,7 @@ object RecPart {
     rescore(newLeaf(rootSlot, rootRegion, sample.sPoints, sample.tPoints, sample.pairs))
 
     val input0 = (sample.sCount + sample.tCount).toDouble
-    val l0 = cfg.load.lowerBound(sample.sCount.toDouble, sample.tCount.toDouble,
+    val l0 = cfg.costModel.loadModel.lowerBound(sample.sCount.toDouble, sample.tCount.toDouble,
       sample.outputEstimate, cfg.w)
     val traj = Vector.newBuilder[IterStats]
     var stats = snapshot(leaves.values, input0, l0, cfg, 0)
@@ -330,7 +331,7 @@ object RecPart {
 
   private def bestGridIncrement(leaf: Leaf, cfg: RecPartConfig,
                                 k: Double, minDup: Double): Option[Candidate] = {
-    val lm = cfg.load
+    val lm = cfg.costModel.loadModel
     val cur = leaf.sumSq(leaf.r, leaf.c, lm)
     val varRow = k * (cur - leaf.sumSq(leaf.r + 1, leaf.c, lm))
     val varCol = k * (cur - leaf.sumSq(leaf.r, leaf.c + 1, lm))
@@ -343,7 +344,7 @@ object RecPart {
 
   private def bestRegularSplit(leaf: Leaf, band: BandSpec, cfg: RecPartConfig,
                                k: Double, minDup: Double): Option[Candidate] = {
-    val lm = cfg.load
+    val lm = cfg.costModel.loadModel
     // Relative duplication floor: charging a split less than 2% of the
     // leaf's own input makes sliver splits (high ratio, negligible ΔVar)
     // outrank the load-relevant splits of the same leaf at our sample
@@ -438,58 +439,40 @@ object RecPart {
     */
   private def snapshot(leaves: Iterable[Leaf], input0: Double, l0: Double,
                        cfg: RecPartConfig, iter: Int): IterStats = {
-    val lm = cfg.load
-    val subs = ArrayBuffer.empty[(Double, Double, Double)] // (load, in, out)
+    val in = ArrayBuffer.empty[Double]
+    val out = ArrayBuffer.empty[Double]
     var estI = 0.0
     for (l <- leaves) {
       estI += l.inputEst
-      val in = l.sW / l.r + l.tW / l.c
-      val out = l.oW / (l.r.toDouble * l.c)
-      val ld = lm.load(in, out)
-      var i = 0
-      val n = l.r * l.c
-      while (i < n) { subs += ((ld, in, out)); i += 1 }
+      l.addSubs(in, out)
     }
-    val loads = subs.map(_._1).toArray
-    val assign = Lpt.assign(loads, cfg.w)
-    val wIn = Array.fill(cfg.w)(0.0)
-    val wOut = Array.fill(cfg.w)(0.0)
-    val wLoad = Array.fill(cfg.w)(0.0)
-    for (i <- subs.indices) {
-      val wk = assign(i)
-      wLoad(wk) += subs(i)._1; wIn(wk) += subs(i)._2; wOut(wk) += subs(i)._3
-    }
-    var mx = 0
-    for (i <- 1 until cfg.w) if (wLoad(i) > wLoad(mx)) mx = i
-    val lmX = wLoad(mx)
+    val sched = Lpt.schedule(in.toArray, out.toArray, cfg.w, cfg.costModel.loadModel)
+    val (im, om, lmX) = (sched.in(sched.top), sched.out(sched.top), sched.load(sched.top))
     val dupOH = if (input0 > 0) (estI - input0) / input0 else 0.0
     val loadOH = if (l0 > 0) (lmX - l0) / l0 else 0.0
-    val predicted = cfg.costModel.predict(estI, wIn(mx), wOut(mx))
+    val predicted = cfg.costModel.predict(estI, im, om)
     val objective = cfg.termination match {
       case Termination.Applied     => predicted
       case Termination.Theoretical => math.max(dupOH, loadOH)
     }
-    IterStats(iter, subs.length, estI, wIn(mx), wOut(mx), lmX, dupOH, loadOH,
+    IterStats(iter, in.length, estI, im, om, lmX, dupOH, loadOH,
       predicted, objective)
   }
 
   private def materialize(rootSlot: Slot, band: BandSpec, cfg: RecPartConfig): TreePartitioning = {
-    var pidBase = 0
-    val subLoads = ArrayBuffer.empty[Double]
+    val in = ArrayBuffer.empty[Double]
+    val out = ArrayBuffer.empty[Double]
     def build(slot: Slot): SplitNode = slot.node match {
       case inner: MInner =>
         InnerNode(inner.dim, inner.x, inner.duplicateT, build(inner.left), build(inner.right))
       case ml: MLeaf =>
         val l = ml.leaf
-        val node = LeafNode(l.id, l.r, l.c, pidBase)
-        pidBase += l.r * l.c
-        val ld = l.subLoad(l.r, l.c, cfg.load)
-        var i = 0
-        while (i < l.r * l.c) { subLoads += ld; i += 1 }
+        val node = LeafNode(l.id, l.r, l.c, in.length)
+        l.addSubs(in, out)
         node
     }
     val root = build(rootSlot)
-    val pidWorker = Lpt.assign(subLoads.toArray, cfg.w)
+    val pidWorker = Lpt.schedule(in.toArray, out.toArray, cfg.w, cfg.costModel.loadModel).worker
     TreePartitioning(root, band, pidWorker, cfg.w)
   }
 }

@@ -43,7 +43,7 @@ object Samples {
     * exact input count, from one Spark job.
     */
   def samplePoints(df: DataFrame, dims: Seq[String], k: Int, seed: Long): (Array[WPoint], Long) = {
-    val Seq(side) = scan(Seq(df), dims, k, seed)
+    val side = scan(Seq(df), dims, k, seed).head
     (side.prefix(k), side.count)
   }
 
@@ -100,7 +100,8 @@ object Samples {
       s: DataFrame, t: DataFrame, dims: Seq[String], band: BandSpec,
       kIn: Int, kOut: Int, seed: Long = 42): JoinSample = {
     val cap = math.max(PairSourceCap, kIn / 2)
-    val Seq(sr, tr) = scan(Seq(s, t), dims, cap, seed)
+    val ranked = scan(Seq(s, t), dims, cap, seed)
+    val (sr, tr) = (ranked(0), ranked(1))
     val (sc, tc) = (sr.count, tr.count)
     // Pair yield scales with kp²/(|S||T|): double the pair-source sample
     // until the output sample is fine enough to balance load with (or the

@@ -4,17 +4,14 @@ import org.apache.spark.sql.{DataFrame, Dataset}
 import repro.baselines._
 import repro.core._
 
-/** One experiment configuration: a band-join instance plus the models
-  * used to score and predict (§2, §6.1).
+/** One experiment configuration: a band-join instance and its sample
+  * sizes (§2, §6.1).
   */
 final case class ExpConfig(
     label: String,
     s: DataFrame, t: DataFrame,
     dims: Seq[String], band: BandSpec, w: Int,
-    kIn: Int = 8000, kOut: Int = 8000,
-    model: CostModel = CostModel.default,
-    seed: Long = 42,
-    explodeLimit: Long = 30000000L)
+    kIn: Int = 8000, kOut: Int = 8000)
 
 /** Everything shared across the strategies of one experiment: cached
   * inputs, the statistics sample (shared, like the paper's ≤5%
@@ -24,7 +21,7 @@ final case class ExpConfig(
   */
 final class PreparedExp(val cfg: ExpConfig) {
   val sample: JoinSample =
-    Samples.draw(cfg.s, cfg.t, cfg.dims, cfg.band, cfg.kIn, cfg.kOut, cfg.seed)
+    Samples.draw(cfg.s, cfg.t, cfg.dims, cfg.band, cfg.kIn, cfg.kOut)
   val region: Region = RecPart.exactBounds(cfg.s, cfg.t, cfg.dims)
   val pairs: Dataset[PairRow] = {
     val gen = OneBucket.forWorkers(math.min(cfg.w, 16))
@@ -32,10 +29,8 @@ final class PreparedExp(val cfg: ExpConfig) {
     p.count()
     p
   }
-  def loadModel: LoadModel = cfg.model.loadModel
-
   def metrics(part: BandPartitioning): PartMetrics =
-    Metrics.compute(cfg.s, cfg.t, cfg.dims, part, pairs, loadModel, cfg.explodeLimit)
+    Metrics.compute(cfg.s, cfg.t, cfg.dims, part, pairs)
 }
 
 /** Outcome of running one strategy on one experiment. */
@@ -66,30 +61,28 @@ object Harness {
                      optMs: Double, detail: String = ""): StrategyResult = {
     val m = prep.metrics(part)
     StrategyResult(name, optMs, m,
-      prep.cfg.model.predict(m.i.toDouble, m.im.toDouble, m.om.toDouble), detail)
+      CostModel.default.predict(m.i.toDouble, m.im.toDouble, m.om.toDouble), detail)
   }
 
   /** RecPart (symmetric = true) or RecPart-S (symmetric = false). */
   def recPart(prep: PreparedExp, symmetric: Boolean,
               termination: Termination = Termination.Applied,
-              model: CostModel = null): StrategyResult = {
+              model: CostModel = CostModel.default): StrategyResult = {
     val cfg = prep.cfg
-    val cm = if (model != null) model else cfg.model
     // The full (symmetric) RecPart also gets the guarded 1-Bucket
     // fallback for wedged leaves — same spirit of flexible split choice.
     // RecPart-S stays strictly by the paper so Table 9's ablation of
     // symmetric partitioning keeps its meaning (DESIGN.md §6).
-    val rc = RecPartConfig(cfg.w, symmetric = symmetric, load = cm.loadModel,
-      costModel = cm, termination = termination, gridFallback = symmetric)
+    val rc = RecPartConfig(cfg.w, symmetric = symmetric, costModel = model,
+      termination = termination, gridFallback = symmetric)
     val res = RecPart.optimize(prep.sample, prep.region, cfg.band, rc)
     finish(prep, if (symmetric) "RecPart" else "RecPart-S", res.partitioning,
       res.optTimeMs, s"iters=${res.iterations} chosen=${res.chosenIteration}")
   }
 
-  def csIo(prep: PreparedExp, g: Int = 0): StrategyResult = {
+  def csIo(prep: PreparedExp): StrategyResult = {
     val cfg = prep.cfg
-    val r = CsIo.build(cfg.s, cfg.t, cfg.dims, cfg.band, cfg.w, prep.sample,
-      prep.loadModel, g)
+    val r = CsIo.build(cfg.s, cfg.t, cfg.dims, cfg.band, cfg.w, prep.sample)
     finish(prep, "CS_IO", r.part, r.optTimeMs,
       s"regions=${r.numRegions} cells=${r.numCandidateCells}")
   }
@@ -114,7 +107,7 @@ object Harness {
   def gridStar(prep: PreparedExp): Option[StrategyResult] =
     if (prep.cfg.band.eps.exists(_ <= 0)) None
     else {
-      val r = GridStar.tune(prep.cfg.band, prep.cfg.w, prep.sample, prep.cfg.model)
+      val r = GridStar.tune(prep.cfg.band, prep.cfg.w, prep.sample)
       Some(finish(prep, "Grid*", r.part, r.optTimeMs,
         s"mult=${r.chosen.multiplier}"))
     }
@@ -122,37 +115,7 @@ object Harness {
   def ieJoin(prep: PreparedExp, sizePerBlock: Int): StrategyResult = {
     val cfg = prep.cfg
     val (part, ms) = IEJoinPart.build(cfg.s, cfg.t, cfg.dims, cfg.band, cfg.w,
-      sizePerBlock, prep.sample, prep.loadModel)
-    finish(prep, s"IEJoin($sizePerBlock)", part, ms, s"tasks=${part.numTasks}")
-  }
-
-  /** Measured wall time (ms) of actually executing the distributed join
-    * with this partitioning on the local session.
-    */
-  def measureJoin(prep: PreparedExp, part: BandPartitioning): Double = {
-    val cfg = prep.cfg
-    val t0 = System.nanoTime()
-    BandJoinExec.pairs(cfg.s, cfg.t, cfg.dims, cfg.band, part).count()
-    (System.nanoTime() - t0) / 1e6
-  }
-}
-
-/** Fixed-width table printing for bench output. */
-object Report {
-  def fmt(v: Double): String =
-    if (v == 0) "0"
-    else if (math.abs(v) >= 1000) f"$v%.0f"
-    else if (math.abs(v) >= 10) f"$v%.1f"
-    else f"$v%.3f"
-
-  def row(cells: Seq[String], widths: Seq[Int]): String =
-    cells.zip(widths).map { case (c, w) => c.padTo(w, ' ') }.mkString(" | ")
-
-  def table(title: String, headers: Seq[String], rows: Seq[Seq[String]]): Seq[String] = {
-    val widths = headers.indices.map { i =>
-      (headers(i).length +: rows.map(r => r(i).length)).max
-    }
-    val sep = widths.map("-" * _).mkString("-+-")
-    s"== $title ==" +: row(headers, widths) +: sep +: rows.map(row(_, widths))
+      sizePerBlock, prep.sample)
+    finish(prep, s"IEJoin($sizePerBlock)", part, ms, s"tasks=${part.numRegions}")
   }
 }

@@ -10,9 +10,6 @@ package repro.exp
   * compares.
   */
 object Scales {
-  /** local tuples per paper-"million" of input (uniform 1/2000 scale). */
-  val PerPaperMillion: Long = 500L
-
   /** pareto-z tables: 200 million per input -> 100k per input. */
   val ParetoRows: Long = 100000L
   /** ebird (508M) and cloud (382M) scaled by the same 1/2000. */
@@ -20,9 +17,4 @@ object Scales {
   val CloudRows: Long = 191000L
   /** ptf_objects: 1198M total -> 299.5k per side. */
   val PtfRows: Long = 299500L
-
-  /** Convert a local tuple count to paper-scale "millions" for printing
-    * next to the paper's numbers.
-    */
-  def toPaperMillions(localCount: Double): Double = localCount / PerPaperMillion
 }

@@ -1,8 +1,11 @@
 package repro
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import scala.jdk.CollectionConverters._
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -14,6 +17,29 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** Spark jobs that `body` starts, counted by a listener. A marker job
+    * afterwards shows that the listener has seen every earlier event.
+    */
+  def sparkJobs(body: => Unit): Int = {
+    val sc = spark.sparkContext
+    val groups = new ConcurrentLinkedQueue[String]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        groups.add(String.valueOf(e.properties.getProperty("spark.jobGroup.id")))
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("counted", "jobs under test")
+      try body finally sc.clearJobGroup()
+      sc.setJobGroup("marker", "listener drain")
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      val deadline = System.nanoTime() + 30000000000L
+      while (!groups.contains("marker") && System.nanoTime() < deadline) Thread.sleep(5)
+      assert(groups.contains("marker"), "listener bus did not drain")
+      groups.asScala.count(_ == "counted")
+    } finally sc.removeSparkListener(listener)
+  }
 
   override def afterAll(): Unit = { super.afterAll() }
 }

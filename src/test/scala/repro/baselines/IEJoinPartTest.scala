@@ -11,20 +11,13 @@ class IEJoinPartTest extends SparkSpec {
     IEJoinPart.build(s, t, Seq("a1"), band, w, spb, sample)._1
   }
 
-  test("blockOf respects boundaries") {
-    val b = Array(1.0, 3.0)
-    assert(IEJoinPart.blockOf(b, 0.5) == 0)
-    assert(IEJoinPart.blockOf(b, 1.0) == 1)
-    assert(IEJoinPart.blockOf(b, 5.0) == 2)
-  }
-
   test("smaller sizePerBlock creates more tasks") {
     val s = TestData.randomDf(spark, 500, 1, 1).cache()
     val t = TestData.randomDf(spark, 500, 1, 2).cache()
     val band = BandSpec(Array(0.2))
     val coarse = build(s, t, band, 6, 250)
     val fine = build(s, t, band, 6, 50)
-    assert(fine.numTasks > coarse.numTasks)
+    assert(fine.numRegions > coarse.numRegions)
   }
 
   test("exactly-once law on uniform data") {
@@ -58,7 +51,7 @@ class IEJoinPartTest extends SparkSpec {
     val t = PartitionLaws.cloud(30, 1, 11)
     val band = BandSpec(Array(0.5))
     val part = build(TestData.df(spark, s), TestData.df(spark, t), band, 4, 1000)
-    assert(part.numTasks == 1)
+    assert(part.numRegions == 1)
     PartitionLaws.checkAll(part, band, s, t)
   }
 }

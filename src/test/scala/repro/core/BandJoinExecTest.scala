@@ -63,6 +63,20 @@ class BandJoinExecTest extends SparkSpec {
     assert(routed.count() == 100 * part.c)
   }
 
+  test("a null join attribute is rejected with its column name") {
+    import spark.implicits._
+    val s = Seq((1L, Option(0.5)), (2L, Option.empty[Double])).toDF("id", "a1")
+    val t = Seq((3L, Option(0.4))).toDF("id", "a1")
+    val band = BandSpec(Array(0.2))
+    val part = OneBucket.forWorkers(4)
+    def rejected(body: => Any): Boolean =
+      Iterator.iterate[Throwable](intercept[Exception](body))(_.getCause).takeWhile(_ != null)
+        .exists(e => String.valueOf(e.getMessage).contains("null in join attribute a1"))
+    assert(rejected(BandJoinExec.pairs(s, t, Seq("a1"), band, part).count()))
+    assert(rejected(Metrics.compute(s, t, Seq("a1"), part,
+      BandJoinExec.pairs(t, t, Seq("a1"), band, part))))
+  }
+
   test("empty inputs: RecPart gives finite estimates and the join gives no pairs") {
     val dims = Seq("a1", "a2")
     val band = BandSpec(Array(0.5, 0.5))

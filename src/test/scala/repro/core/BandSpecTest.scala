@@ -72,17 +72,4 @@ class BandSpecTest extends AnyFunSuite {
     assert(l.hi(1) == 4.0 && rr.lo(1) == 4.0)
     assert(l.lo(0) == 0.0 && rr.hi(0) == 10.0)
   }
-
-  test("Region.contains boundary-inclusive") {
-    val r = Region(Array(0.0), Array(1.0))
-    assert(r.contains(Array(0.0)) && r.contains(Array(1.0)) && !r.contains(Array(1.1)))
-  }
-
-  test("Region.bounding covers all points") {
-    val pts = Seq(Array(1.0, 5.0), Array(-2.0, 3.0), Array(0.0, 9.0))
-    val r = Region.bounding(pts, 2)
-    assert(r.lo.sameElements(Array(-2.0, 3.0)))
-    assert(r.hi.sameElements(Array(1.0, 9.0)))
-    pts.foreach(p => assert(r.contains(p)))
-  }
 }

@@ -7,8 +7,8 @@ class MetricsTest extends SparkSpec {
 
   private def bruteMetrics(part: BandPartitioning, band: BandSpec,
                            s: Seq[(Long, Array[Double])],
-                           t: Seq[(Long, Array[Double])],
-                           load: LoadModel): PartMetrics = {
+                           t: Seq[(Long, Array[Double])]): PartMetrics = {
+    val load = LoadModel()
     val w = part.numWorkers
     val inByPid = scala.collection.mutable.HashMap.empty[Int, Long].withDefaultValue(0L)
     val outByPid = scala.collection.mutable.HashMap.empty[Int, Long].withDefaultValue(0L)
@@ -17,13 +17,13 @@ class MetricsTest extends SparkSpec {
     for ((id, x) <- t; p <- part.assignT(x, id)) { inByPid(p) += 1; i += 1 }
     for ((sid, sx) <- s; (tid, tx) <- t if band.matches(sx, tx))
       outByPid(part.pairPartition(sx, sid, tx, tid)) += 1
-    val (in, out) = Metrics.scheduleByRealizedLoad(inByPid.toMap, outByPid.toMap, w, load)
-    val loads = Array.tabulate(w)(k => load.load(in(k).toDouble, out(k).toDouble))
-    val mx = loads.indices.maxBy(loads)
+    val pids = (inByPid.keySet ++ outByPid.keySet).toArray.sorted
+    val sch = Lpt.schedule(pids.map(inByPid(_).toDouble), pids.map(outByPid(_).toDouble), w, load)
+    val (in, out, mx) = (sch.in.map(_.toLong), sch.out.map(_.toLong), sch.top)
     val l0 = load.lowerBound(s.size, t.size, out.sum.toDouble, w)
-    PartMetrics(s.size, t.size, out.sum, i, in(mx), out(mx), loads(mx), l0,
+    PartMetrics(s.size, t.size, out.sum, i, in(mx), out(mx), sch.load(mx), l0,
       (i - (s.size + t.size).toDouble) / (s.size + t.size),
-      (loads(mx) - l0) / l0, in, out)
+      (sch.load(mx) - l0) / l0, in, out)
   }
 
   test("Metrics.compute matches brute force for 1-Bucket") {
@@ -34,7 +34,7 @@ class MetricsTest extends SparkSpec {
     val sDf = TestData.df(spark, s); val tDf = TestData.df(spark, t)
     val pairs = BandJoinExec.pairs(sDf, tDf, Seq("a1"), band, part)
     val got = Metrics.compute(sDf, tDf, Seq("a1"), part, pairs)
-    val exp = bruteMetrics(part, band, s, t, LoadModel())
+    val exp = bruteMetrics(part, band, s, t)
     assert(got.i == exp.i && got.im == exp.im && got.om == exp.om)
     assert(got.outCount == exp.outCount)
     assert(math.abs(got.lm - exp.lm) < 1e-9)
@@ -48,7 +48,7 @@ class MetricsTest extends SparkSpec {
     val sDf = TestData.df(spark, s); val tDf = TestData.df(spark, t)
     val pairs = BandJoinExec.pairs(sDf, tDf, Seq("a1", "a2"), band, part)
     val got = Metrics.compute(sDf, tDf, Seq("a1", "a2"), part, pairs)
-    val exp = bruteMetrics(part, band, s, t, LoadModel())
+    val exp = bruteMetrics(part, band, s, t)
     assert(got.i == exp.i && got.im == exp.im && got.om == exp.om)
     assert(got.perWorkerInput.toSeq == exp.perWorkerInput.toSeq)
     assert(got.perWorkerOutput.toSeq == exp.perWorkerOutput.toSeq)
@@ -62,7 +62,7 @@ class MetricsTest extends SparkSpec {
     val sDf = TestData.df(spark, s); val tDf = TestData.df(spark, t)
     val pairs = BandJoinExec.pairs(sDf, tDf, Seq("a1"), band, part)
     val got = Metrics.compute(sDf, tDf, Seq("a1"), part, pairs, explodeLimit = 1L)
-    val exactI = bruteMetrics(part, band, s, t, LoadModel()).i
+    val exactI = bruteMetrics(part, band, s, t).i
     assert(got.i == exactI)
     assert(got.perWorkerInput.sum == exactI)
     assert(got.perWorkerInput.max - got.perWorkerInput.min <= 1)
@@ -79,5 +79,16 @@ class MetricsTest extends SparkSpec {
       assert(m.lm >= m.l0 - 1e-9)
       assert(m.dupOverhead >= 0 && m.loadOverhead >= -1e-9)
     }
+  }
+
+  test("Metrics.compute runs 3 Spark jobs, 2 past explodeLimit") {
+    val band = BandSpec(Array(0.5))
+    val sDf = TestData.randomDf(spark, 100, 1, 9).cache()
+    val tDf = TestData.randomDf(spark, 100, 1, 10).cache()
+    val part = OneBucket.forWorkers(4)
+    val pairs = BandJoinExec.pairs(sDf, tDf, Seq("a1"), band, part).cache()
+    pairs.count()
+    assert(sparkJobs { Metrics.compute(sDf, tDf, Seq("a1"), part, pairs) } == 3)
+    assert(sparkJobs { Metrics.compute(sDf, tDf, Seq("a1"), part, pairs, explodeLimit = 1L) } == 2)
   }
 }

@@ -21,7 +21,7 @@ class RecPartTest extends AnyFunSuite {
   }
 
   private def region(pts: Seq[Array[Double]], d: Int): Region =
-    Region.bounding(pts, d)
+    Region(Array.tabulate(d)(i => pts.map(_(i)).min), Array.tabulate(d)(i => pts.map(_(i)).max))
 
   test("Example 2: finds a zero-duplication, balanced partitioning") {
     val sV = Seq(1.0, 2.0, 3.0, 5.0, 6.0, 8.0, 9.0, 10.0)

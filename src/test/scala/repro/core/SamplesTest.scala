@@ -1,34 +1,8 @@
 package repro.core
 
-import java.util.concurrent.ConcurrentLinkedQueue
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{SparkSpec, TestData}
-import scala.jdk.CollectionConverters._
 
 class SamplesTest extends SparkSpec {
-
-  /** Spark jobs that `body` starts, counted by a listener. A marker job
-    * afterwards shows that the listener has seen every earlier event.
-    */
-  private def sparkJobs(body: => Unit): Int = {
-    val sc = spark.sparkContext
-    val groups = new ConcurrentLinkedQueue[String]()
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        groups.add(String.valueOf(e.properties.getProperty("spark.jobGroup.id")))
-    }
-    sc.addSparkListener(listener)
-    try {
-      sc.setJobGroup("counted", "jobs under test")
-      try body finally sc.clearJobGroup()
-      sc.setJobGroup("marker", "listener drain")
-      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
-      val deadline = System.nanoTime() + 30000000000L
-      while (!groups.contains("marker") && System.nanoTime() < deadline) Thread.sleep(5)
-      assert(groups.contains("marker"), "listener bus did not drain")
-      groups.asScala.count(_ == "counted")
-    } finally sc.removeSparkListener(listener)
-  }
 
   test("samplePoints caps at k and weights sum to the input size") {
     val df = TestData.randomDf(spark, 1000, 2, 1)

@@ -52,10 +52,4 @@ class CompetitionTest extends AnyFunSuite {
     val t = TableOutput("t", Seq(), Seq(("a", true), ("b", false)))
     assert(t.failed == Seq("b"))
   }
-
-  test("Scales: paper-million conversion round-trips") {
-    assert(Scales.toPaperMillions(Scales.ParetoRows * 2.0) == 400.0)
-    assert(Scales.toPaperMillions(Scales.EbirdRows + Scales.CloudRows) == 890.0)
-    assert(Scales.toPaperMillions(2 * Scales.PtfRows) == 1198.0)
-  }
 }

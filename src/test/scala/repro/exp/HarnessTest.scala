@@ -51,15 +51,4 @@ class HarnessTest extends SparkSpec {
     assert(r.m.i >= r.m.inputLowerBound)
     assert(r.name.contains("100"))
   }
-
-  test("measureJoin returns a positive wall time") {
-    val ms = Harness.measureJoin(prep, repro.baselines.OneBucket.forWorkers(4))
-    assert(ms > 0)
-  }
-
-  test("Report.table aligns columns") {
-    val lines = Report.table("T", Seq("a", "bbb"), Seq(Seq("x", "1"), Seq("yy", "22")))
-    assert(lines.head == "== T ==")
-    assert(lines.length == 5)
-  }
 }
