@@ -22,10 +22,6 @@ class CsIoTest extends SparkSpec {
     assert(CsIo.rangeOf(bounds, Array(1.0)) == 0)
     assert(CsIo.rangeOf(bounds, Array(2.0)) == 1) // boundary belongs right
     assert(CsIo.rangeOf(bounds, Array(7.0)) == 2)
-    // one-element bounds compare A1 only (IEJoin's blocks)
-    assert(CsIo.rangeOf(bounds, Array(1.0, 9.0, 9.0)) == 0)
-    assert(CsIo.rangeOf(bounds, Array(2.0, -9.0, -9.0)) == 1)
-    assert(CsIo.rangeOf(bounds, Array(5.0, -9.0, 0.0)) == 2)
   }
 
   test("quantileBounds are sorted and within the data range") {

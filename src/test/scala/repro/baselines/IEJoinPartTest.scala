@@ -11,6 +11,18 @@ class IEJoinPartTest extends SparkSpec {
     IEJoinPart.build(s, t, Seq("a1"), band, w, spb, sample)._1
   }
 
+  test("blockOf respects boundaries") {
+    // IEJoin's blocks are A1 ranges: one-element bounds, looked up by CsIo.rangeOf
+    val b = Array(Array(1.0), Array(3.0))
+    assert(CsIo.rangeOf(b, Array(0.5)) == 0)
+    assert(CsIo.rangeOf(b, Array(1.0)) == 1)
+    assert(CsIo.rangeOf(b, Array(5.0)) == 2)
+    // only A1 of a multi-dimensional point decides its block
+    assert(CsIo.rangeOf(b, Array(0.5, 9.0, 9.0)) == 0)
+    assert(CsIo.rangeOf(b, Array(1.0, -9.0, -9.0)) == 1)
+    assert(CsIo.rangeOf(b, Array(3.0, -9.0, 0.0)) == 2)
+  }
+
   test("smaller sizePerBlock creates more tasks") {
     val s = TestData.randomDf(spark, 500, 1, 1).cache()
     val t = TestData.randomDf(spark, 500, 1, 2).cache()
