@@ -95,7 +95,7 @@ object Metrics {
     PartMetrics(
       sCount, tCount, outCount, i, perWorkerInput(top), perWorkerOutput(top),
       lm, l0,
-      dupOverhead = (i - input0) / input0,
+      dupOverhead = if (input0 > 0) (i - input0) / input0 else 0.0,
       loadOverhead = if (l0 > 0) (lm - l0) / l0 else 0.0,
       perWorkerInput = perWorkerInput, perWorkerOutput = perWorkerOutput)
   }

@@ -89,21 +89,36 @@ object RecPart {
                              val left: Slot, val right: Slot) extends MNode
   private final class MLeaf(val leaf: Leaf) extends MNode
 
-  private final class Leaf(
-      val id: Int,
-      var slot: Slot,
-      val region: Region,
-      val sPts: Array[WPoint],
-      val tPts: Array[WPoint],
-      val pairs: Array[WPair]) {
+  /** One side of a leaf's sample, sorted on each dimension once at the
+    * root; children inherit the order through stable filters (SLIQ /
+    * SPRINT attribute lists). `pts(dim)`: the side's points ascending on
+    * `dim`; `pairs(dim)`: the output pairs as joined points s ++ t,
+    * ascending on this side's coordinate `off + dim`.
+    */
+  private final class Side(val pts: Array[Array[WPoint]], val pairs: Array[Array[WPoint]],
+                           val off: Int) {
+    val weight: Double = pts(0).iterator.map(_.weight).sum
+
+    /** The children's lists for a split at x on `dim`: points go to each
+      * child within `reach`, pairs by their partitioned side's coordinate `c`.
+      */
+    def split(dim: Int, x: Double, reach: Double, c: Int): (Side, Side) = (
+      new Side(pts.map(_.filter(p => SplitTree.reachesLeft(p.x(dim), x, reach))),
+        pairs.map(_.filter(_.x(c) < x)), off),
+      new Side(pts.map(_.filter(p => SplitTree.reachesRight(p.x(dim), x, reach))),
+        pairs.map(_.filter(_.x(c) >= x)), off))
+  }
+
+  private final class Leaf(val id: Int, var slot: Slot, val region: Region,
+                           val s: Side, val t: Side) {
     var r: Int = 1
     var c: Int = 1
     var stamp: Int = 0
     var best: Option[Candidate] = None
 
-    val sW: Double = sPts.iterator.map(_.weight).sum
-    val tW: Double = tPts.iterator.map(_.weight).sum
-    val oW: Double = pairs.iterator.map(_.weight).sum
+    val sW: Double = s.weight
+    val tW: Double = t.weight
+    val oW: Double = s.pairs(0).iterator.map(_.weight).sum
 
     /** Σ l² over the rr·cc internal 1-Bucket sub-partitions. */
     def sumSq(rr: Int, cc: Int, lm: LoadModel): Double = {
@@ -139,9 +154,8 @@ object RecPart {
     var nextId = 0
     val leaves = mutable.LinkedHashMap.empty[Int, Leaf]
 
-    def newLeaf(slot: Slot, region: Region, sp: Array[WPoint], tp: Array[WPoint],
-                pr: Array[WPair]): Leaf = {
-      val l = new Leaf(nextId, slot, region, sp, tp, pr)
+    def newLeaf(slot: Slot, region: Region, s: Side, t: Side): Leaf = {
+      val l = new Leaf(nextId, slot, region, s, t)
       nextId += 1
       slot.node = new MLeaf(l)
       leaves(l.id) = l
@@ -157,7 +171,12 @@ object RecPart {
       l.best = bestSplit(l, band, cfg, k, minDup)
       l.best.foreach(b => if (b.score > 0) pq.enqueue(QE(b.score, l.id, l.stamp)))
     }
-    rescore(newLeaf(rootSlot, rootRegion, sample.sPoints, sample.tPoints, sample.pairs))
+    val joined = sample.pairs.map(p => WPoint(p.s ++ p.t, p.weight))
+    def rootSide(pts: Array[WPoint], off: Int) = new Side( // the only sorts; stable
+      Array.tabulate(band.d)(dim => pts.sortBy(_.x(dim))),
+      Array.tabulate(band.d)(dim => joined.sortBy(_.x(off + dim))), off)
+    rescore(newLeaf(rootSlot, rootRegion, rootSide(sample.sPoints, 0),
+      rootSide(sample.tPoints, band.d)))
 
     val input0 = (sample.sCount + sample.tCount).toDouble
     val l0 = cfg.costModel.loadModel.lowerBound(sample.sCount.toDouble, sample.tCount.toDouble,
@@ -244,23 +263,16 @@ object RecPart {
   /** Replace `leaf` by an inner node and return its two new children. */
   private def applyRegular(
       leaf: Leaf, dim: Int, x: Double, duplicateT: Boolean, band: BandSpec,
-      newLeaf: (Slot, Region, Array[WPoint], Array[WPoint], Array[WPair]) => Leaf): (Leaf, Leaf) = {
+      newLeaf: (Slot, Region, Side, Side) => Leaf): (Leaf, Leaf) = {
     val e = band.eps(dim)
+    val c = (if (duplicateT) leaf.s else leaf.t).off + dim
+    val (sL, sR) = leaf.s.split(dim, x, if (duplicateT) 0.0 else e, c)
+    val (tL, tR) = leaf.t.split(dim, x, if (duplicateT) e else 0.0, c)
     val (regL, regR) = leaf.region.split(dim, x)
-    val (sL, sR, tL, tR) =
-      if (duplicateT) (
-        leaf.sPts.filter(_.x(dim) < x), leaf.sPts.filter(_.x(dim) >= x),
-        leaf.tPts.filter(p => p.x(dim) - e < x), leaf.tPts.filter(p => p.x(dim) + e >= x))
-      else (
-        leaf.sPts.filter(p => p.x(dim) - e < x), leaf.sPts.filter(p => p.x(dim) + e >= x),
-        leaf.tPts.filter(_.x(dim) < x), leaf.tPts.filter(_.x(dim) >= x))
-    val routeBy: WPair => Double = if (duplicateT) _.s(dim) else _.t(dim)
-    val (pL, pR) = leaf.pairs.partition(p => routeBy(p) < x)
-
     val ls = new Slot; val rs = new Slot
     leaf.slot.node = new MInner(dim, x, duplicateT, ls, rs)
-    val childL = newLeaf(ls, regL, sL, tL, pL)
-    (childL, newLeaf(rs, regR, sR, tR, pR))
+    val childL = newLeaf(ls, regL, sL, tL)
+    (childL, newLeaf(rs, regR, sR, tR))
   }
 
   // ---------------------------------------------------------------------
@@ -304,25 +316,35 @@ object RecPart {
     * dimension offers two distinct sample values to split between (all
     * tuples then join with each other, the Cartesian-product regime).
     */
-  private def oneBucketMode(leaf: Leaf, band: BandSpec): Boolean = {
-    if (leaf.region.smallEverywhere(band)) return true
-    val d = band.d
-    var dim = 0
-    while (dim < d) {
-      if (!leaf.region.smallInDim(dim, band)) {
-        val vals = distinctSorted(leaf, dim)
-        if (vals.length >= 2) return false
-      }
-      dim += 1
+  private def oneBucketMode(leaf: Leaf, band: BandSpec): Boolean =
+    leaf.region.smallEverywhere(band) || (0 until band.d).forall(dim =>
+      leaf.region.smallInDim(dim, band) || distinctValues(leaf, dim).length < 2)
+
+  /** The distinct (under `==`) values of the leaf's S and T samples on
+    * `dim`, ascending, from one merge of their sorted lists.
+    */
+  private def distinctValues(leaf: Leaf, dim: Int): Array[Double] = {
+    val (a, b) = (leaf.s.pts(dim), leaf.t.pts(dim))
+    val out = new Array[Double](a.length + b.length)
+    var i = 0; var j = 0; var n = 0
+    while (i < a.length || j < b.length) {
+      val v = // compare in the lists' sort order (NaN last), as `<=` does not
+        if (j == b.length || i < a.length &&
+            java.lang.Double.compare(a(i).x(dim), b(j).x(dim)) <= 0) { i += 1; a(i - 1).x(dim) }
+        else { j += 1; b(j - 1).x(dim) }
+      if (n == 0 || v != out(n - 1)) { out(n) = v; n += 1 }
     }
-    true
+    java.util.Arrays.copyOf(out, n)
   }
 
-  private def distinctSorted(leaf: Leaf, dim: Int): Array[Double] = {
-    val b = new ArrayBuffer[Double](leaf.sPts.length + leaf.tPts.length)
-    leaf.sPts.foreach(p => b += p.x(dim))
-    leaf.tPts.foreach(p => b += p.x(dim))
-    b.distinct.sorted.toArray
+  /** Weight of a sorted list's entries whose coordinate `c` is below x, for rising x. */
+  private final class Below(list: Array[WPoint], c: Int) {
+    private var j = 0
+    private var acc = 0.0
+    def apply(x: Double): Double = {
+      while (j < list.length && list(j).x(c) < x) { acc += list(j).weight; j += 1 }
+      acc
+    }
   }
 
   private def score(varReduction: Double, dup: Double, minDup: Double): Double =
@@ -353,82 +375,51 @@ object RecPart {
     val curSq = leaf.sumSq(1, 1, lm)
     var bestScore = 0.0
     var best: Option[Candidate] = None
-    def consider(dVar: Double, dup: Double, dim: Int, x: Double, duplicateT: Boolean): Unit = {
-      val sc = score(dVar, dup, floorDup)
-      if (sc > bestScore) {
-        bestScore = sc
-        best = Some(Candidate(sc, dVar, RegularSplit(dim, x, duplicateT)))
+
+    /** Scores the splits of `dim` that partition side `part` at x and copy
+      * side `dup` within ε of x to both children, for x that only rise.
+      */
+    final class Role(part: Side, dup: Side, dim: Int, duplicateT: Boolean) {
+      private val e = band.eps(dim)
+      private val partLeft = new Below(part.pts(dim), dim)
+      private val dupLeft = new Below(dup.pts(dim), dim)
+      private val dupNotRight = new Below(dup.pts(dim), dim)
+      private val outLeft = new Below(part.pairs(dim), part.off + dim)
+
+      def consider(x: Double): Unit = {
+        val pL = partLeft(x)
+        val pR = part.weight - pL
+        val dL = dupLeft(x + e)
+        val dR = dup.weight - dupNotRight(x - e)
+        val oL = outLeft(x)
+        val oR = leaf.oW - oL
+        val l1 = lm.load(pL + dL, oL)
+        val l2 = lm.load(pR + dR, oR)
+        val dVar = k * (curSq - l1 * l1 - l2 * l2)
+        val sc = score(dVar, dL + dR - dup.weight, floorDup)
+        if (sc > bestScore) {
+          bestScore = sc
+          best = Some(Candidate(sc, dVar, RegularSplit(dim, x, duplicateT)))
+        }
       }
     }
 
-    val d = band.d
-    var dim = 0
-    while (dim < d) {
-      if (!leaf.region.smallInDim(dim, band)) {
-        val e = band.eps(dim)
-        val (sVals, sPref) = sortedPrefix(leaf.sPts, dim)
-        val (tVals, tPref) = sortedPrefix(leaf.tPts, dim)
-        val (oSVals, oSPref) = sortedPairPrefix(leaf.pairs, dim, useS = true)
-        val (oTVals, oTPref) = sortedPairPrefix(leaf.pairs, dim, useS = false)
-        val cand = distinctSorted(leaf, dim)
-        var i = 0
-        while (i < cand.length - 1) {
-          val x = (cand(i) + cand(i + 1)) / 2
-          // T-split: partition S at x, duplicate T within ε of x.
-          locally {
-            val sL = weightBelow(sVals, sPref, x)
-            val sR = leaf.sW - sL
-            val tL = weightBelow(tVals, tPref, x + e)
-            val tR = leaf.tW - weightBelow(tVals, tPref, x - e)
-            val oL = weightBelow(oSVals, oSPref, x)
-            val oR = leaf.oW - oL
-            val l1 = lm.load(sL + tL, oL)
-            val l2 = lm.load(sR + tR, oR)
-            consider(k * (curSq - l1 * l1 - l2 * l2), tL + tR - leaf.tW, dim, x, duplicateT = true)
-          }
-          // S-split: partition T at x, duplicate S within ε of x.
-          if (cfg.symmetric) {
-            val tL = weightBelow(tVals, tPref, x)
-            val tR = leaf.tW - tL
-            val sL = weightBelow(sVals, sPref, x + e)
-            val sR = leaf.sW - weightBelow(sVals, sPref, x - e)
-            val oL = weightBelow(oTVals, oTPref, x)
-            val oR = leaf.oW - oL
-            val l1 = lm.load(sL + tL, oL)
-            val l2 = lm.load(sR + tR, oR)
-            consider(k * (curSq - l1 * l1 - l2 * l2), sL + sR - leaf.sW, dim, x, duplicateT = false)
-          }
-          i += 1
+    for (dim <- 0 until band.d if !leaf.region.smallInDim(dim, band)) {
+      val tSplit = new Role(leaf.s, leaf.t, dim, duplicateT = true)
+      val sSplit = new Role(leaf.t, leaf.s, dim, duplicateT = false)
+      val vals = distinctValues(leaf, dim)
+      for (i <- 0 until vals.length - 1) {
+        val x = (vals(i) + vals(i + 1)) / 2
+        // A NaN midpoint (NaN, or -Inf next to +Inf, in the sample) splits
+        // nothing; skipping it keeps the bounds of `Below` rising.
+        if (!x.isNaN) {
+          tSplit.consider(x)
+          if (cfg.symmetric) sSplit.consider(x)
         }
       }
-      dim += 1
     }
     best
   }
-
-  private def sortedPrefix(pts: Array[WPoint], dim: Int): (Array[Double], Array[Double]) = {
-    val idx = pts.indices.toArray.sortBy(i => pts(i).x(dim))
-    val vals = idx.map(i => pts(i).x(dim))
-    val pref = new Array[Double](vals.length + 1)
-    var i = 0
-    while (i < vals.length) { pref(i + 1) = pref(i) + pts(idx(i)).weight; i += 1 }
-    (vals, pref)
-  }
-
-  private def sortedPairPrefix(pairs: Array[WPair], dim: Int,
-                               useS: Boolean): (Array[Double], Array[Double]) = {
-    val coord: WPair => Double = if (useS) _.s(dim) else _.t(dim)
-    val idx = pairs.indices.toArray.sortBy(i => coord(pairs(i)))
-    val vals = idx.map(i => coord(pairs(i)))
-    val pref = new Array[Double](vals.length + 1)
-    var i = 0
-    while (i < vals.length) { pref(i + 1) = pref(i) + pairs(idx(i)).weight; i += 1 }
-    (vals, pref)
-  }
-
-  /** Σ of weights of entries with value < x. */
-  private def weightBelow(vals: Array[Double], pref: Array[Double], x: Double): Double =
-    pref(LocalJoin.lowerBound(vals, x))
 
   // ---------------------------------------------------------------------
   // Per-iteration estimates, termination bookkeeping, materialization

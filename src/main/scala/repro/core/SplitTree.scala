@@ -51,43 +51,42 @@ object SplitTree {
   def colOf(leaf: LeafNode, salt: Long): Int =
     math.floorMod(mix(salt ^ (leaf.leafId.toLong << 32) ^ 0xC011L), leaf.c).toInt
 
-  /** Algorithm 3 for an S-tuple: partitioned at T-splits, duplicated
-    * across S-split boundaries it is within band width of; at each leaf
-    * reached, fan out to all `c` partitions of its 1-Bucket row.
-    */
-  def assignS(root: SplitNode, band: BandSpec, x: Array[Double], salt: Long): Array[Int] = {
-    val out = new ArrayBuffer[Int]()
-    def walk(n: SplitNode): Unit = n match {
-      case leaf: LeafNode =>
-        val row = rowOf(leaf, salt)
-        var col = 0
-        while (col < leaf.c) { out += leaf.pidBase + row * leaf.c + col; col += 1 }
-      case InnerNode(dim, sx, dupT, l, r) =>
-        if (dupT) { if (x(dim) < sx) walk(l) else walk(r) }
-        else {
-          val e = band.eps(dim)
-          if (x(dim) - e < sx) walk(l)
-          if (x(dim) + e >= sx) walk(r)
-        }
-    }
-    walk(root)
-    out.toArray
-  }
+  /** A tuple at v, copied within `reach` of a split at x, goes left (`A_dim < x`). */
+  def reachesLeft(v: Double, x: Double, reach: Double): Boolean = v - reach < x
 
-  /** Algorithm 3 for a T-tuple (roles mirrored). */
-  def assignT(root: SplitNode, band: BandSpec, x: Array[Double], salt: Long): Array[Int] = {
+  /** A tuple at v, copied within `reach` of a split at x, goes right. */
+  def reachesRight(v: Double, x: Double, reach: Double): Boolean = v + reach >= x
+
+  /** Algorithm 3 for an S-tuple. */
+  def assignS(root: SplitNode, band: BandSpec, x: Array[Double], salt: Long): Array[Int] =
+    assign(root, band, x, salt, isS = true)
+
+  /** Algorithm 3 for a T-tuple. */
+  def assignT(root: SplitNode, band: BandSpec, x: Array[Double], salt: Long): Array[Int] =
+    assign(root, band, x, salt, isS = false)
+
+  /** Algorithm 3 for a tuple of S (`isS`) or T: partitioned at the splits
+    * that duplicate the other side, duplicated across the other splits'
+    * boundaries it is within band width of; at each leaf reached, fan out
+    * to all `c` partitions of its 1-Bucket row (S) or all `r` partitions
+    * of its column (T).
+    */
+  private def assign(root: SplitNode, band: BandSpec, x: Array[Double], salt: Long,
+                     isS: Boolean): Array[Int] = {
     val out = new ArrayBuffer[Int]()
     def walk(n: SplitNode): Unit = n match {
       case leaf: LeafNode =>
-        val col = colOf(leaf, salt)
-        var row = 0
-        while (row < leaf.r) { out += leaf.pidBase + row * leaf.c + col; row += 1 }
+        val first = leaf.pidBase + (if (isS) rowOf(leaf, salt) * leaf.c else colOf(leaf, salt))
+        val step = if (isS) 1 else leaf.c
+        val cells = if (isS) leaf.c else leaf.r
+        var i = 0
+        while (i < cells) { out += first + i * step; i += 1 }
       case InnerNode(dim, sx, dupT, l, r) =>
-        if (!dupT) { if (x(dim) < sx) walk(l) else walk(r) }
+        if (dupT == isS) { if (x(dim) < sx) walk(l) else walk(r) }
         else {
           val e = band.eps(dim)
-          if (x(dim) - e < sx) walk(l)
-          if (x(dim) + e >= sx) walk(r)
+          if (reachesLeft(x(dim), sx, e)) walk(l)
+          if (reachesRight(x(dim), sx, e)) walk(r)
         }
     }
     walk(root)

@@ -19,18 +19,14 @@ final case class ExpConfig(
   * exact output pair set (computed once with a trivially correct
   * 1-Bucket execution and reused for every strategy's metrics).
   */
-final class PreparedExp(val cfg: ExpConfig) {
-  val sample: JoinSample =
-    Samples.draw(cfg.s, cfg.t, cfg.dims, cfg.band, cfg.kIn, cfg.kOut)
-  val region: Region = RecPart.exactBounds(cfg.s, cfg.t, cfg.dims)
-  val pairs: Dataset[PairRow] = {
-    val gen = OneBucket.forWorkers(math.min(cfg.w, 16))
-    val p = BandJoinExec.pairs(cfg.s, cfg.t, cfg.dims, cfg.band, gen).cache()
-    p.count()
-    p
-  }
+final class PreparedExp(val cfg: ExpConfig, val sample: JoinSample, val region: Region,
+                        val pairs: Dataset[PairRow]) {
   def metrics(part: BandPartitioning): PartMetrics =
     Metrics.compute(cfg.s, cfg.t, cfg.dims, part, pairs)
+
+  /** The same experiment with its statistics sample drawn from `seed`. */
+  def withSampleSeed(seed: Long): PreparedExp = new PreparedExp(cfg,
+    Samples.draw(cfg.s, cfg.t, cfg.dims, cfg.band, cfg.kIn, cfg.kOut, seed), region, pairs)
 }
 
 /** Outcome of running one strategy on one experiment. */
@@ -54,7 +50,12 @@ object Harness {
   def prepare(cfg: ExpConfig): PreparedExp = {
     cfg.s.cache().count()
     cfg.t.cache().count()
-    new PreparedExp(cfg)
+    val sample = Samples.draw(cfg.s, cfg.t, cfg.dims, cfg.band, cfg.kIn, cfg.kOut)
+    val region = RecPart.exactBounds(cfg.s, cfg.t, cfg.dims)
+    val pairs = BandJoinExec.pairs(cfg.s, cfg.t, cfg.dims, cfg.band,
+      OneBucket.forWorkers(math.min(cfg.w, 16))).cache()
+    pairs.count()
+    new PreparedExp(cfg, sample, region, pairs)
   }
 
   private def finish(prep: PreparedExp, name: String, part: BandPartitioning,

@@ -190,16 +190,24 @@ object TablesSpecial {
     def run(label: String, mk: () => ExpConfig, paper: String,
             expectSymWin: Boolean): Unit = {
       val prep = Harness.prepare(mk())
-      val asym = Harness.recPart(prep, symmetric = false)
-      val sym = Harness.recPart(prep, symmetric = true)
-      lines += f"$label%-30s RecPart-S: I=${asym.i}%8d Im=${asym.im}%8d Om=${asym.om}%7d" +
-        f" | RecPart: I=${sym.i}%8d Im=${sym.im}%8d Om=${sym.om}%7d | paper: $paper"
+      // Whether RecPart-S strands half the input depends on the draw, so
+      // these rows run sample seeds 1-5, fixed here, and check the median.
+      val runs =
+        if (expectSymWin) (1 to 5).map(seed => (s"$label seed $seed", prep.withSampleSeed(seed)))
+        else Seq((label, prep))
+      val (asym, sym) = runs.map { case (tag, p) =>
+        val (a, b) = (Harness.recPart(p, symmetric = false), Harness.recPart(p, symmetric = true))
+        lines += f"$tag%-36s RecPart-S: I=${a.i}%8d Im=${a.im}%8d Om=${a.om}%7d" +
+          f" | RecPart: I=${b.i}%8d Im=${b.im}%8d Om=${b.om}%7d | paper: $paper"
+        (a, b)
+      }.unzip
+      def medianIm(rs: Seq[StrategyResult]): Long = rs.map(_.im).sorted.apply(rs.length / 2)
       if (expectSymWin)
-        checks += ((s"$label: symmetric at least halves Im",
-          sym.im.toDouble * 2 <= asym.im.toDouble))
+        checks += ((s"$label: symmetric at least halves the median Im of sample seeds 1-5",
+          medianIm(sym) * 2 <= medianIm(asym)))
       else
         checks += ((s"$label: symmetric within 2x on predicted time",
-          sym.predicted <= asym.predicted * 2.0))
+          sym.head.predicted <= asym.head.predicted * 2.0))
       prep.pairs.unpersist()
       prep.cfg.s.unpersist(); prep.cfg.t.unpersist()
     }

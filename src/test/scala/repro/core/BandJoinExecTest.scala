@@ -87,11 +87,15 @@ class BandJoinExecTest extends SparkSpec {
       val res = RecPart.fromDataFrames(s, t, dims, band, RecPartConfig(w))
       if (label == "both empty")
         assert(SplitTree.leaves(res.partitioning.root).size == 1, label)
-      assert(res.est.productIterator.forall {
+      def finite(p: Product): Boolean = p.productIterator.forall {
         case v: Double => !v.isNaN && !v.isInfinite
         case _ => true
-      }, s"$label: ${res.est}")
-      assert(BandJoinExec.pairs(s, t, dims, band, res.partitioning).count() == 0, label)
+      }
+      assert(finite(res.est), s"$label: ${res.est}")
+      val pairs = BandJoinExec.pairs(s, t, dims, band, res.partitioning)
+      assert(pairs.count() == 0, label)
+      val m = Metrics.compute(s, t, dims, res.partitioning, pairs)
+      assert(finite(m), s"$label: $m")
     }
   }
 

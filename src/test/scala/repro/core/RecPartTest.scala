@@ -10,14 +10,17 @@ class RecPartTest extends AnyFunSuite {
   private def fullSample(s: Seq[Double], t: Seq[Double], band: BandSpec): JoinSample =
     fullSampleN(s.map(v => Array(v)), t.map(v => Array(v)), band)
 
-  private def fullSampleN(s: Seq[Array[Double]], t: Seq[Array[Double]],
-                          band: BandSpec): JoinSample = {
-    val sp = s.map(WPoint(_, 1.0)).toArray
-    val tp = t.map(WPoint(_, 1.0)).toArray
+  /** As `Samples.draw` weights a sample: each side's points share one
+    * weight and each pair weighs their product.
+    */
+  private def fullSampleN(s: Seq[Array[Double]], t: Seq[Array[Double]], band: BandSpec,
+                          sW: Double = 1.0, tW: Double = 1.0): JoinSample = {
+    val sp = s.map(WPoint(_, sW)).toArray
+    val tp = t.map(WPoint(_, tW)).toArray
     val pairs = for {
       a <- sp; b <- tp if band.matches(a.x, b.x)
-    } yield WPair(a.x, b.x, 1.0)
-    JoinSample(sp, tp, pairs, s.size, t.size)
+    } yield WPair(a.x, b.x, sW * tW)
+    JoinSample(sp, tp, pairs, math.round(s.size * sW), math.round(t.size * tW))
   }
 
   private def region(pts: Seq[Array[Double]], d: Int): Region =
@@ -169,9 +172,10 @@ class RecPartTest extends AnyFunSuite {
     // scoring, tie-breaking, leaf numbering or winner selection shows up.
     def lattice(rnd: scala.util.Random, n: Int, d: Int, f: Double => Double): Seq[Array[Double]] =
       Seq.fill(n)(Array.fill(d)(math.round(f(rnd.nextDouble()) * 10) / 10.0))
-    def check(s: Seq[Array[Double]], t: Seq[Array[Double]], band: BandSpec, cfg: RecPartConfig)(
+    def check(s: Seq[Array[Double]], t: Seq[Array[Double]], band: BandSpec, cfg: RecPartConfig,
+              sW: Double = 1.0, tW: Double = 1.0)(
         root: SplitNode, pidWorker: Seq[Int], chosen: Int, est: IterStats): Unit = {
-      val res = RecPart.optimize(fullSampleN(s, t, band), region(s ++ t, band.d), band, cfg)
+      val res = RecPart.optimize(fullSampleN(s, t, band, sW, tW), region(s ++ t, band.d), band, cfg)
       assert(res.partitioning.root == root)
       assert(res.partitioning.pidWorker.toSeq == pidWorker)
       assert(res.chosenIteration == chosen)
@@ -215,6 +219,47 @@ class RecPartTest extends AnyFunSuite {
       Seq(0, 2, 3, 1, 2, 3), 5,
       IterStats(5, 6, 40.0, 11.0, 2.0, 46.0, 0.0, 0.045454545454545456, 86.0,
         0.045454545454545456))
+
+    // Symmetric RecPart with the grid fallback in d = 3, each side with its
+    // own non-integer weight: an output clique at (2, 2, 2) ends in a 2x4
+    // grid leaf; the winner is iteration 20 of 108.
+    val rndD = new scala.util.Random(29)
+    def cliqueD() = Seq.fill(30)(Array(2.0, 2.0, 2.0)) ++ lattice(rndD, 50, 3, u => u * u * 10)
+    check(cliqueD(), cliqueD(), BandSpec(Array(0.6, 0.6, 0.6)),
+      RecPartConfig(9, symmetric = true, gridFallback = true), sW = 2.7, tW = 3.9)(
+      InnerNode(1, 2.6500000000000004, false,
+        InnerNode(0, 2.6500000000000004, true,
+          InnerNode(2, 3.0, false,
+            InnerNode(1, 0.85, false, LeafNode(7, 1, 1, 0),
+              InnerNode(0, 0.75, false, LeafNode(9, 1, 1, 1), LeafNode(10, 2, 4, 2))),
+            LeafNode(6, 1, 1, 10)),
+          LeafNode(4, 1, 1, 11)),
+        InnerNode(0, 3.65, false, LeafNode(11, 1, 1, 12), LeafNode(12, 1, 1, 13))),
+      Seq(8, 8, 0, 1, 2, 3, 4, 5, 6, 7, 8, 8, 8, 8), 20,
+      IterStats(20, 14, 930.9000000000002, 74.40000000000003, 1184.6250000000018,
+        1482.225000000002, 0.7630681818181823, 0.14072881660295983, 2413.1250000000023,
+        2413.1250000000023))
+  }
+
+  test("the chosen estimate of I equals the weighted input the partitioning routes") {
+    // Ties the optimizer's per-leaf sample lists to SplitTree's routing:
+    // est.estI = Σ w·|assignS| + Σ w·|assignT| over the sample.
+    val rnd = new scala.util.Random(61)
+    for (c <- 0 until 48) {
+      val d = 1 + c % 3
+      val band = BandSpec(Array.fill(d)(if (rnd.nextInt(3) == 0) 0.0 else 0.2 + rnd.nextDouble()))
+      def pts(n: Int) = Seq.fill(n)(Array.fill(d)(math.round(math.pow(rnd.nextDouble(), 2) * 100) / 10.0))
+      val (s, t) = (pts(30 + rnd.nextInt(120)), pts(30 + rnd.nextInt(120)))
+      val (sW, tW) = (1 + rnd.nextDouble() * 9, 1 + rnd.nextDouble() * 9)
+      val cfg = RecPartConfig(2 + rnd.nextInt(30), symmetric = c % 2 == 0,
+        gridFallback = c / 2 % 2 == 0,
+        termination = if (c / 4 % 2 == 0) Termination.Applied else Termination.Theoretical)
+      val res = RecPart.optimize(fullSampleN(s, t, band, sW, tW), region(s ++ t, d), band, cfg)
+      val part = res.partitioning
+      val routed = s.indices.map(i => sW * part.assignS(s(i), i.toLong).length).sum +
+        t.indices.map(i => tW * part.assignT(t(i), i.toLong).length).sum
+      assert(math.abs(routed - res.est.estI) <= 1e-9 * routed, s"case $c: $cfg routed $routed, ${res.est}")
+    }
   }
 
   test("resulting partitioning obeys the exactly-once law") {
