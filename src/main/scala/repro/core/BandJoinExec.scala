@@ -1,7 +1,16 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, Row}
+import java.io.{DataInputStream, InputStream, OutputStream}
+import java.lang.Double.{doubleToRawLongBits, longBitsToDouble}
+import java.nio.ByteBuffer
+import org.apache.spark.Partitioner
+import org.apache.spark.rdd.{RDD, ShuffledRDD}
+import org.apache.spark.serializer.{DeserializationStream, SerializationStream, Serializer, SerializerInstance}
+import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions.col
+import scala.collection.mutable.{ArrayBuffer, HashMap}
+import scala.reflect.ClassTag
 
 /** An input tuple routed to one partition of the join partitioning. */
 final case class Routed(pid: Int, side: Int, id: Long, x: Array[Double])
@@ -19,79 +28,156 @@ final case class PairRow(sid: Long, tid: Long, s: Array[Double], t: Array[Double
   * phase). Because Definition 1 guarantees each result pair is recovered
   * by exactly one local join, no post-hoc duplicate elimination runs.
   *
+  * The shuffle has one reduce task per worker: task k receives every
+  * partition that `partitionWorker` maps to worker k and joins them one
+  * after another, as the paper's worker does.
+  *
   * Inputs are DataFrames with a unique long `id` column plus the join
   * attribute columns `dims`.
   */
 object BandJoinExec {
 
-  /** `df`'s `id` as a long column followed by the join attributes
-    * `dims` as doubles.
+  /** Join attribute `i` of a row whose attributes `dims` start at column
+    * `from`. A null join attribute is rejected, not skipped.
     */
-  private[core] def idAndDims(df: DataFrame, dims: Seq[String]): DataFrame =
-    df.select(col("id").cast("long") +: dims.map(c => col(c).cast("double")): _*)
+  private[core] def attribute(r: InternalRow, from: Int, dims: Seq[String], i: Int): Double = {
+    require(!r.isNullAt(from + i), s"null in join attribute ${dims(i)}")
+    r.getDouble(from + i)
+  }
 
-  /** The join-attribute point of a row of `idAndDims`. A null join
-    * attribute is rejected, not skipped.
+  /** Every tuple of `df` as its id and join-attribute point. */
+  private[core] def tuples(df: DataFrame, dims: Seq[String]): RDD[(Long, Array[Double])] =
+    df.select(col("id").cast("long") +: dims.map(c => col(c).cast("double")): _*)
+      .queryExecution.toRdd.map { r =>
+        require(!r.isNullAt(0), "null id")
+        val x = new Array[Double](dims.length)
+        var i = 0
+        while (i < x.length) { x(i) = attribute(r, 1, dims, i); i += 1 }
+        (r.getLong(0), x)
+      }
+
+  /** Every copy of `df`'s tuples as (pid, record). A record is the side,
+    * the id and the raw bits of each coordinate, so it is lossless.
     */
-  private[core] def point(r: Row, dims: Seq[String]): Array[Double] =
-    Array.tabulate(dims.length) { i =>
-      require(!r.isNullAt(i + 1), s"null in join attribute ${dims(i)}")
-      r.getDouble(i + 1)
+  private def routed(df: DataFrame, dims: Seq[String], side: Int,
+                     part: BandPartitioning): RDD[(Int, Array[Long])] =
+    tuples(df, dims).flatMap { case (id, x) =>
+      val rec = new Array[Long](x.length + 2)
+      rec(0) = side
+      rec(1) = id
+      var i = 0
+      while (i < x.length) { rec(i + 2) = doubleToRawLongBits(x(i)); i += 1 }
+      val pids = if (side == 0) part.assignS(x, id) else part.assignT(x, id)
+      pids.iterator.map(pid => (pid, rec))
     }
+
+  /** The join-attribute point of a record. */
+  private def point(rec: Array[Long]): Array[Double] = {
+    val x = new Array[Double](rec.length - 2)
+    var i = 0
+    while (i < x.length) { x(i) = longBitsToDouble(rec(i + 2)); i += 1 }
+    x
+  }
+
+  /** Sends partition `pid` to the reduce task of its worker. */
+  private final class WorkerPartitioner(part: BandPartitioning) extends Partitioner {
+    override def numPartitions: Int = part.numWorkers
+    override def getPartition(key: Any): Int = {
+      val pid = key.asInstanceOf[Int]
+      val k = part.partitionWorker(pid)
+      require(0 <= k && k < numPartitions,
+        s"partition $pid maps to worker $k, outside [0, $numPartitions)")
+      k
+    }
+  }
+
+  /** The shuffle's serializer: it writes a (pid, record) as the pid, the
+    * record's length and its longs, in one array copy, and reads them
+    * back. Unlike Kryo it needs no per-stream set-up.
+    */
+  private object RecordSerializer extends Serializer with Serializable {
+    override def newInstance(): SerializerInstance = new SerializerInstance {
+      private def only = throw new UnsupportedOperationException("shuffle streams only")
+      override def serialize[T: ClassTag](t: T): ByteBuffer = only
+      override def deserialize[T: ClassTag](bytes: ByteBuffer): T = only
+      override def deserialize[T: ClassTag](bytes: ByteBuffer, loader: ClassLoader): T = only
+
+      override def serializeStream(s: OutputStream): SerializationStream = new SerializationStream {
+        private var pid = 0
+        private var buf = ByteBuffer.allocate(256)
+        override def writeKey[T: ClassTag](key: T): SerializationStream = {
+          pid = key.asInstanceOf[Int]; this
+        }
+        override def writeValue[T: ClassTag](value: T): SerializationStream = {
+          val rec = value.asInstanceOf[Array[Long]]
+          val n = 8 + 8 * rec.length
+          if (buf.capacity < n) buf = ByteBuffer.allocate(n)
+          buf.putInt(0, pid).putInt(4, rec.length).position(8)
+          buf.asLongBuffer().put(rec)
+          s.write(buf.array, 0, n)
+          this
+        }
+        override def writeObject[T: ClassTag](t: T): SerializationStream = only
+        override def flush(): Unit = s.flush()
+        override def close(): Unit = s.close()
+      }
+
+      override def deserializeStream(s: InputStream): DeserializationStream = new DeserializationStream {
+        private val in = new DataInputStream(s)
+        private val head = ByteBuffer.allocate(8)
+        private var body = ByteBuffer.allocate(256)
+        override def readKey[T: ClassTag](): T = {
+          in.readFully(head.array)
+          head.getInt(0).asInstanceOf[T]
+        }
+        override def readValue[T: ClassTag](): T = {
+          val rec = new Array[Long](head.getInt(4))
+          if (body.capacity < 8 * rec.length) body = ByteBuffer.allocate(8 * rec.length)
+          in.readFully(body.array, 0, 8 * rec.length)
+          body.asLongBuffer().get(rec)
+          rec.asInstanceOf[T]
+        }
+        override def readObject[T: ClassTag](): T = only
+        override def close(): Unit = in.close()
+      }
+    }
+  }
 
   /** Route a DataFrame's tuples: map-side explode by partition id. */
   def route(df: DataFrame, dims: Seq[String], side: Int,
             part: BandPartitioning): Dataset[Routed] = {
     val spark = df.sparkSession
     import spark.implicits._
-    idAndDims(df, dims).flatMap { r =>
-      val id = r.getLong(0)
-      val x = point(r, dims)
-      val pids = if (side == 0) part.assignS(x, id) else part.assignT(x, id)
-      pids.map(pid => Routed(pid, side, id, x))
-    }
+    spark.createDataset(routed(df, dims, side, part).map { case (pid, rec) =>
+      Routed(pid, side, rec(1), point(rec))
+    })
   }
 
-  /** Execute the distributed band-join and return the output pairs. */
+  /** Execute the distributed band-join and return the output pairs, in
+    * one Spark partition per worker.
+    */
   def pairs(s: DataFrame, t: DataFrame, dims: Seq[String], band: BandSpec,
             part: BandPartitioning): Dataset[PairRow] = {
     val spark = s.sparkSession
     import spark.implicits._
-    val routed = route(s, dims, 0, part).union(route(t, dims, 1, part))
-    routed.groupByKey(_.pid).flatMapGroups { (_, it) =>
-      val sIds = scala.collection.mutable.ArrayBuffer.empty[Long]
-      val sPts = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
-      val tIds = scala.collection.mutable.ArrayBuffer.empty[Long]
-      val tPts = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
-      it.foreach { r =>
-        if (r.side == 0) { sIds += r.id; sPts += r.x } else { tIds += r.id; tPts += r.x }
+    val shuffled = new ShuffledRDD[Int, Array[Long], Array[Long]](
+      routed(s, dims, 0, part).union(routed(t, dims, 1, part)), new WorkerPartitioner(part))
+      .setSerializer(RecordSerializer)
+    spark.createDataset(shuffled.mapPartitions { it =>
+      val byPid = HashMap.empty[Int, (ArrayBuffer[Array[Long]], ArrayBuffer[Array[Long]])]
+      it.foreach { case (pid, rec) =>
+        val (sr, tr) = byPid.getOrElseUpdate(pid, (ArrayBuffer.empty, ArrayBuffer.empty))
+        if (rec(0) == 0) sr += rec else tr += rec
       }
-      val out = scala.collection.mutable.ArrayBuffer.empty[PairRow]
-      LocalJoin.forEachMatch(sPts.toArray, tPts.toArray, band) { (si, ti) =>
-        out += PairRow(sIds(si), tIds(ti), sPts(si), tPts(ti))
+      byPid.valuesIterator.flatMap { case (sr, tr) =>
+        val sPts = sr.map(point).toArray
+        val tPts = tr.map(point).toArray
+        val out = ArrayBuffer.empty[PairRow]
+        LocalJoin.forEachMatch(sPts, tPts, band) { (si, ti) =>
+          out += PairRow(sr(si)(1), tr(ti)(1), sPts(si), tPts(ti))
+        }
+        out.iterator
       }
-      out.iterator
-    }
-  }
-
-  /** Output pairs as a two-column (sid, tid) DataFrame — the shape the
-    * DuckDB oracle compares against.
-    */
-  def pairIds(s: DataFrame, t: DataFrame, dims: Seq[String], band: BandSpec,
-              part: BandPartitioning): DataFrame = {
-    val spark = s.sparkSession
-    import spark.implicits._
-    pairs(s, t, dims, band, part).select($"sid", $"tid")
-  }
-
-  /** DuckDB SQL producing the same (sid, tid) pair set — for the oracle.
-    * The oracle stores every column as VARCHAR, hence the casts.
-    */
-  def oracleSql(dims: Seq[String], band: BandSpec): String = {
-    val conds = dims.zipWithIndex.map { case (c, i) =>
-      s"abs(CAST(s.$c AS DOUBLE) - CAST(t.$c AS DOUBLE)) <= ${band.eps(i)}"
-    }
-    "SELECT CAST(s.id AS BIGINT) AS sid, CAST(t.id AS BIGINT) AS tid " +
-      s"FROM s, t WHERE ${conds.mkString(" AND ")}"
+    })
   }
 }

@@ -51,7 +51,7 @@ object Metrics {
     val w = part.numWorkers
 
     def points(df: DataFrame, side: Int): RDD[(Int, Long, Array[Double])] =
-      BandJoinExec.idAndDims(df, dims).rdd.map(r => (side, r.getLong(0), BandJoinExec.point(r, dims)))
+      BandJoinExec.tuples(df, dims).map { case (id, x) => (side, id, x) }
     val both = points(s, 0).union(points(t, 1))
 
     // (|S|, |T|, I_S, I_T)

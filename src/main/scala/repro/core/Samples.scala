@@ -1,9 +1,9 @@
 package repro.core
 
-import java.util.SplittableRandom
+import java.util.{Arrays, SplittableRandom}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
-import scala.collection.mutable.{ArrayBuffer, ArrayBuilder}
+import scala.collection.mutable.ArrayBuilder
 import scala.util.Random
 import scala.util.hashing.byteswap64
 
@@ -131,9 +131,10 @@ object Samples {
   }
 
   /** One partition of one input: its row count and a uniformly random
-    * ordered sample of at most `cap` of its points.
+    * ordered sample of at most `cap` of its points, flattened: point k is
+    * `points(k·d until (k+1)·d)`.
     */
-  private final case class Kept(side: Int, count: Long, points: Array[Array[Double]])
+  private final case class Kept(side: Int, count: Long, points: Array[Double])
 
   /** The generator of one input's partition (`part` = -1: the driver's). */
   private def rng(seed: Long, side: Int, part: Int): SplittableRandom =
@@ -152,22 +153,34 @@ object Samples {
       df.select(dims.map(c => col(c).cast("double")): _*).queryExecution.toRdd
         .mapPartitionsWithIndex { (part, rows) =>
           val rnd = rng(seed, side, part)
-          val kept = ArrayBuffer.empty[Array[Double]]
+          var kept = new Array[Double](d * math.min(cap, 1024))
+          var n = 0
           var count = 0L
           rows.foreach { r =>
             count += 1
-            dims.indices.foreach(i => require(!r.isNullAt(i), s"null in join attribute ${dims(i)}"))
-            val slot = if (kept.length < cap) kept.length.toLong else rnd.nextLong(count)
-            if (slot < cap) {
-              val x = Array.tabulate(d)(r.getDouble)
-              if (slot == kept.length) kept += x else kept(slot.toInt) = x
+            val slot =
+              if (n < cap) n
+              else { val j = rnd.nextLong(count); if (j < cap) j.toInt else -1 }
+            if (slot == n) {
+              if (kept.length < (n + 1) * d)
+                kept = Arrays.copyOf(kept, d * math.min(cap, 2 * (n + 1)))
+              n += 1
+            }
+            var i = 0
+            while (i < d) {
+              val x = BandJoinExec.attribute(r, 0, dims, i)
+              if (slot >= 0) kept(slot * d + i) = x
+              i += 1
             }
           }
-          for (i <- kept.indices.reverse) {
+          val tmp = new Array[Double](d)
+          for (i <- (0 until n).reverse) {
             val j = rnd.nextInt(i + 1)
-            val x = kept(i); kept(i) = kept(j); kept(j) = x
+            System.arraycopy(kept, i * d, tmp, 0, d)
+            System.arraycopy(kept, j * d, kept, i * d, d)
+            System.arraycopy(tmp, 0, kept, j * d, d)
           }
-          Iterator(Kept(side, count, kept.toArray))
+          Iterator(Kept(side, count, Arrays.copyOf(kept, n * d)))
         }
     }
     val kept = dfs.head.sparkSession.sparkContext.union(parts).collect()
@@ -183,7 +196,7 @@ object Samples {
         while (r >= left(p)) { r -= left(p); p += 1 }
         left(p) -= 1; total -= 1
         taken(p) += 1
-        ps(p).points(taken(p) - 1)
+        Arrays.copyOfRange(ps(p).points, (taken(p) - 1) * d, taken(p) * d)
       }
       Ranked(out, ps.map(_.count).sum)
     }

@@ -2,6 +2,7 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
+import repro.core.{BandJoinExec, BandPartitioning, BandSpec}
 
 /** DuckDB correctness oracle.
   *
@@ -30,6 +31,24 @@ object Oracle {
         }
       })
       .sortBy(_.mkString(""))
+  }
+
+  /** The distributed band-join's output pairs as a two-column (sid, tid)
+    * DataFrame: the shape `assertEquivalent` compares.
+    */
+  def pairIds(s: DataFrame, t: DataFrame, dims: Seq[String], band: BandSpec,
+              part: BandPartitioning): DataFrame =
+    BandJoinExec.pairs(s, t, dims, band, part).select("sid", "tid")
+
+  /** DuckDB SQL producing the same (sid, tid) pair set. The oracle stores
+    * every column as VARCHAR, hence the casts.
+    */
+  def oracleSql(dims: Seq[String], band: BandSpec): String = {
+    val conds = dims.zipWithIndex.map { case (c, i) =>
+      s"abs(CAST(s.$c AS DOUBLE) - CAST(t.$c AS DOUBLE)) <= ${band.eps(i)}"
+    }
+    "SELECT CAST(s.id AS BIGINT) AS sid, CAST(t.id AS BIGINT) AS tid " +
+      s"FROM s, t WHERE ${conds.mkString(" AND ")}"
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {

@@ -32,22 +32,27 @@ class BandJoinExecTest extends SparkSpec {
     else base
   }
 
+  /** True iff `body` throws with `message` somewhere in its cause chain. */
+  private def failsWith(message: String)(body: => Any): Boolean =
+    Iterator.iterate[Throwable](intercept[Exception](body))(_.getCause).takeWhile(_ != null)
+      .exists(e => String.valueOf(e.getMessage).contains(message))
+
   for ((name, s0, t0, dims, band) <- TestData.instances(SparkSpec.shared)) {
     val s = s0.cache(); val t = t0.cache()
     lazy val strat = strategies(name, s, t, dims, band)
     lazy val expectedCount: Long =
-      BandJoinExec.pairIds(s, t, dims, band, OneBucket.forWorkers(4)).count()
+      Oracle.pairIds(s, t, dims, band, OneBucket.forWorkers(4)).count()
 
     for (stratName <- Seq("RecPart-S", "RecPart", "1-Bucket", "CS_IO", "IEJoin", "Grid-eps")) {
       test(s"$name / $stratName matches DuckDB and produces no duplicates") {
         strat.find(_._1 == stratName) match {
           case None => assert(band.eps.exists(_ == 0), "only Grid-eps may be absent")
           case Some((_, part)) =>
-            val pairs = BandJoinExec.pairIds(s, t, dims, band, part).cache()
+            val pairs = Oracle.pairIds(s, t, dims, band, part).cache()
             val n = pairs.count()
             assert(pairs.distinct().count() == n, "duplicate output pairs")
             assert(n == expectedCount, s"pair count $n != $expectedCount")
-            Oracle.assertEquivalent(pairs, BandJoinExec.oracleSql(dims, band),
+            Oracle.assertEquivalent(pairs, Oracle.oracleSql(dims, band),
               "s" -> s, "t" -> t)
             pairs.unpersist()
         }
@@ -69,12 +74,64 @@ class BandJoinExecTest extends SparkSpec {
     val t = Seq((3L, Option(0.4))).toDF("id", "a1")
     val band = BandSpec(Array(0.2))
     val part = OneBucket.forWorkers(4)
-    def rejected(body: => Any): Boolean =
-      Iterator.iterate[Throwable](intercept[Exception](body))(_.getCause).takeWhile(_ != null)
-        .exists(e => String.valueOf(e.getMessage).contains("null in join attribute a1"))
+    def rejected(body: => Any): Boolean = failsWith("null in join attribute a1")(body)
     assert(rejected(BandJoinExec.pairs(s, t, Seq("a1"), band, part).count()))
+    assert(rejected(RecPart.exactBounds(s, t, Seq("a1"))))
+    assert(rejected(RecPart.exactBounds(t, s, Seq("a1"))))
     assert(rejected(Metrics.compute(s, t, Seq("a1"), part,
       BandJoinExec.pairs(t, t, Seq("a1"), band, part))))
+    val noId = Seq((Option.empty[Long], 0.5)).toDF("id", "a1")
+    assert(failsWith("null id")(BandJoinExec.pairs(noId, t, Seq("a1"), band, part).count()))
+  }
+
+  test("each Spark partition of the output is one worker") {
+    val (name, s, t, dims, band) = TestData.instances(spark)(2)
+    for ((stratName, part) <- strategies(name, s, t, dims, band)
+         if Seq("RecPart", "1-Bucket", "CS_IO").contains(stratName)) {
+      val pairs = BandJoinExec.pairs(s, t, dims, band, part)
+      assert(pairs.rdd.getNumPartitions == part.numWorkers, stratName)
+      val placed = pairs.rdd.mapPartitionsWithIndex((k, it) => it.map(p => (k, p))).collect()
+      assert(placed.nonEmpty, stratName)
+      for ((k, p) <- placed)
+        assert(part.partitionWorker(part.pairPartition(p.s, p.sid, p.t, p.tid)) == k,
+          s"$stratName: pair (${p.sid}, ${p.tid}) in Spark partition $k")
+    }
+  }
+
+  test("a worker outside [0, w) is rejected with the partition, worker and w") {
+    val stub = new BandPartitioning {
+      def numWorkers: Int = 4
+      def assignS(x: Array[Double], salt: Long): Array[Int] = Array(if (salt == 0) 7 else 0)
+      def assignT(x: Array[Double], salt: Long): Array[Int] = Array(0, 7)
+      def partitionWorker(pid: Int): Int = if (pid == 7) 4 else 0
+      def pairPartition(s: Array[Double], sSalt: Long, t: Array[Double], tSalt: Long): Int =
+        if (sSalt == 0) 7 else 0
+    }
+    val s = TestData.randomDf(spark, 20, 1, 104)
+    assert(failsWith("partition 7 maps to worker 4, outside [0, 4)")(
+      BandJoinExec.pairs(s, s, Seq("a1"), BandSpec(Array(1.0)), stub).count()))
+  }
+
+  test("the shuffle returns ids and coordinates bit for bit") {
+    val ids = Seq(Long.MinValue, Long.MaxValue, -1L, 0x7FF8000000000001L)
+    val cs = Seq(-0.0, Double.MinPositiveValue, 1e308)
+    val sIn = ids.zipWithIndex.map { case (id, i) => id -> Array(cs(i % 3), cs((i + 1) % 3)) }
+    val tIn = ids.zipWithIndex.map { case (id, i) => id -> Array(cs((i + 2) % 3), cs(i % 3)) }
+    val band = BandSpec(Array(1e308, 1e308))
+    def bits(x: Array[Double]) = x.map(java.lang.Double.doubleToRawLongBits).toSeq
+    val (sBits, tBits) = (sIn.toMap.view.mapValues(bits).toMap, tIn.toMap.view.mapValues(bits).toMap)
+    // Above 200 reduce tasks Spark's shuffle sorts instead of writing one
+    // file per task; both go through the same record streams.
+    for (w <- Seq(4, 256)) {
+      val pairs = BandJoinExec.pairs(TestData.df(spark, sIn), TestData.df(spark, tIn),
+        Seq("a1", "a2"), band, OneBucket.forWorkers(w)).collect()
+      assert(pairs.map(p => (p.sid, p.tid)).toSet == (for (a <- ids; b <- ids) yield (a, b)).toSet)
+      assert(pairs.length == ids.length * ids.length)
+      for (p <- pairs) {
+        assert(bits(p.s) == sBits(p.sid), s"w = $w: s of (${p.sid}, ${p.tid})")
+        assert(bits(p.t) == tBits(p.tid), s"w = $w: t of (${p.sid}, ${p.tid})")
+      }
+    }
   }
 
   test("empty inputs: RecPart gives finite estimates and the join gives no pairs") {
@@ -104,7 +161,7 @@ class BandJoinExecTest extends SparkSpec {
     val t = TestData.randomDf(spark, 80, 1, 102, lo = 100, hi = 101)
     val band = BandSpec(Array(0.5))
     for ((_, part) <- strategies("disjoint", s, t, Seq("a1"), band)) {
-      assert(BandJoinExec.pairIds(s, t, Seq("a1"), band, part).count() == 0)
+      assert(Oracle.pairIds(s, t, Seq("a1"), band, part).count() == 0)
     }
   }
 }

@@ -1,6 +1,6 @@
 package repro.exp
 
-import repro.{SparkSpec, TestData}
+import repro.{Oracle, SparkSpec, TestData}
 import repro.core._
 
 class CalibrateTest extends SparkSpec {
@@ -10,7 +10,7 @@ class CalibrateTest extends SparkSpec {
     val t = TestData.randomDf(spark, 2000, 1, 2).cache()
     val target = 3.0
     val band = Calibrate.epsForRatio(s, t, Seq("a1"), Array(1.0), target)
-    val out = BandJoinExec.pairIds(s, t, Seq("a1"), band,
+    val out = Oracle.pairIds(s, t, Seq("a1"), band,
       repro.baselines.OneBucket.forWorkers(4)).count()
     val ratio = out.toDouble / 4000
     assert(ratio > target / 2 && ratio < target * 2, s"ratio=$ratio eps=${band.eps(0)}")
@@ -38,7 +38,7 @@ class CalibrateTest extends SparkSpec {
     import repro.data.BandSynth
     val s = BandSynth.pareto(spark, 2000, 1.5, 1, 13, quantize = q)
     val t = BandSynth.pareto(spark, 2000, 1.5, 1, 113, quantize = q)
-    val out = BandJoinExec.pairIds(s, t, Seq("a1"), BandSpec(Array(0.0)),
+    val out = Oracle.pairIds(s, t, Seq("a1"), BandSpec(Array(0.0)),
       repro.baselines.OneBucket.forWorkers(4)).count()
     val ratio = out.toDouble / 4000
     assert(ratio > target / 4 && ratio < target * 4, s"ratio=$ratio q=$q")
