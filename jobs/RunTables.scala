@@ -21,8 +21,6 @@ object RunTables {
     val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"tables-${ids.mkString("-")}")
-      .config("spark.sql.shuffle.partitions", "64")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     spark.sparkContext.setLogLevel("WARN")
     val failed = ids.flatMap { id =>

@@ -1,7 +1,6 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.core._
 
 /** CS_IO (Vitorovic et al., §3.1): the state-of-the-art join-matrix
@@ -15,7 +14,7 @@ import repro.core._
   *     columns of the coarsened join matrix), quantiles from the input
   *     sample;
   *  3. gather exact per-range statistics over the full data (count +
-  *     bounding box per dimension) with one Spark aggregation per input;
+  *     bounding box per dimension) with one Spark aggregation over S ∪ T;
   *  4. mark cell (i, j) as a candidate iff row i's S-bounding-box and
   *     column j's T-bounding-box are within band width in every
   *     dimension (conservative: never misses a joining pair);
@@ -67,25 +66,33 @@ object CsIo {
 
   private[baselines] final case class RangeStats(count: Long, lo: Array[Double], hi: Array[Double])
 
-  /** Exact count + bounding box per quantile range, from one Spark job
+  /** Exact count + bounding box per quantile range: `gS` ranges of S by
+    * `sBounds` and `gT` ranges of T by `tBounds`, from one Spark job
     * without a shuffle.
     */
-  private[baselines] def rangeStats(df: DataFrame, dims: Seq[String],
-                                    bounds: Array[Array[Double]], g: Int): Array[RangeStats] = {
+  private[baselines] def rangeStats(
+      s: DataFrame, t: DataFrame, dims: Seq[String],
+      sBounds: Array[Array[Double]], gS: Int,
+      tBounds: Array[Array[Double]], gT: Int): (Array[RangeStats], Array[RangeStats]) = {
     val d = dims.length
     def add(a: RangeStats, b: RangeStats): RangeStats = RangeStats(a.count + b.count,
       Array.tabulate(d)(i => if (b.lo(i) < a.lo(i)) b.lo(i) else a.lo(i)),
       Array.tabulate(d)(i => if (b.hi(i) > a.hi(i)) b.hi(i) else a.hi(i)))
     val empty = RangeStats(0L, Array.fill(d)(Double.PositiveInfinity),
       Array.fill(d)(Double.NegativeInfinity))
-    df.select(dims.map(c => col(c).cast("double")): _*).rdd.aggregate(Array.fill(g)(empty))(
-      (acc, r) => {
-        val x = Array.tabulate(d)(r.getDouble)
-        val k = rangeOf(bounds, x)
-        acc(k) = add(acc(k), RangeStats(1L, x, x))
-        acc
-      },
-      (a, b) => Array.tabulate(g)(k => add(a(k), b(k))))
+    val bounds = Array(sBounds, tBounds)
+    def points(df: DataFrame, side: Int) =
+      BandJoinExec.tuples(df, dims).map { case (_, x) => (side, x) }
+    val stats = points(s, 0).union(points(t, 1))
+      .aggregate(Array(Array.fill(gS)(empty), Array.fill(gT)(empty)))(
+        { case (acc, (side, x)) =>
+          val k = rangeOf(bounds(side), x)
+          acc(side)(k) = add(acc(side)(k), RangeStats(1L, x, x))
+          acc
+        },
+        (a, b) => Array.tabulate(2)(side => Array.tabulate(a(side).length)(k =>
+          add(a(side)(k), b(side)(k)))))
+    (stats(0), stats(1))
   }
 
   private def boxesJoinable(a: RangeStats, b: RangeStats, band: BandSpec): Boolean = {
@@ -109,8 +116,7 @@ object CsIo {
 
     val sBounds = quantileBounds(sample.sPoints, g)
     val tBounds = quantileBounds(sample.tPoints, g)
-    val sStats = rangeStats(s, dims, sBounds, g)
-    val tStats = rangeStats(t, dims, tBounds, g)
+    val (sStats, tStats) = rangeStats(s, t, dims, sBounds, g, tBounds, g)
 
     val outW = MatrixCover.cellOutput(sample.pairs, sBounds, tBounds, g)
 

@@ -39,8 +39,9 @@ object IEJoinPart {
     val tBounds = bounds(t, sample.tCount)
     val nS = sBounds.length + 1
     val nT = tBounds.length + 1
-    val sCnt = CsIo.rangeStats(s, Seq(a1), sBounds, nS).map(_.count)
-    val tCnt = CsIo.rangeStats(t, Seq(a1), tBounds, nT).map(_.count)
+    val (sStats, tStats) = CsIo.rangeStats(s, t, Seq(a1), sBounds, nS, tBounds, nT)
+    val sCnt = sStats.map(_.count)
+    val tCnt = tStats.map(_.count)
 
     // A1 value range of each block, bounded by the quantile boundaries.
     def range(bs: Array[Array[Double]], i: Int): (Double, Double) = (

@@ -37,24 +37,38 @@ final case class PairRow(sid: Long, tid: Long, s: Array[Double], t: Array[Double
   */
 object BandJoinExec {
 
-  /** Join attribute `i` of a row whose attributes `dims` start at column
-    * `from`. A null join attribute is rejected, not skipped.
+  /** The one reader of an input: `df`'s rows as Spark's internal rows of
+    * the id (column 0) and the join attributes `dims` cast to double
+    * (columns 1 to d). Every job reads its inputs here, through `id` and
+    * `attribute`, which reject nulls.
     */
-  private[core] def attribute(r: InternalRow, from: Int, dims: Seq[String], i: Int): Double = {
-    require(!r.isNullAt(from + i), s"null in join attribute ${dims(i)}")
-    r.getDouble(from + i)
+  private[core] def rows(df: DataFrame, dims: Seq[String]): RDD[InternalRow] =
+    df.select(col("id").cast("long") +: dims.map(c => col(c).cast("double")): _*)
+      .queryExecution.toRdd
+
+  /** The id of a row of `rows`. A null id is rejected. */
+  private[core] def id(r: InternalRow): Long = {
+    require(!r.isNullAt(0), "null id")
+    r.getLong(0)
+  }
+
+  /** Join attribute `i` of a row of `rows(df, dims)`. A null join
+    * attribute is rejected, not skipped.
+    */
+  private[core] def attribute(r: InternalRow, dims: Seq[String], i: Int): Double = {
+    require(!r.isNullAt(1 + i), s"null in join attribute ${dims(i)}")
+    r.getDouble(1 + i)
   }
 
   /** Every tuple of `df` as its id and join-attribute point. */
-  private[core] def tuples(df: DataFrame, dims: Seq[String]): RDD[(Long, Array[Double])] =
-    df.select(col("id").cast("long") +: dims.map(c => col(c).cast("double")): _*)
-      .queryExecution.toRdd.map { r =>
-        require(!r.isNullAt(0), "null id")
-        val x = new Array[Double](dims.length)
-        var i = 0
-        while (i < x.length) { x(i) = attribute(r, 1, dims, i); i += 1 }
-        (r.getLong(0), x)
-      }
+  private[repro] def tuples(df: DataFrame, dims: Seq[String]): RDD[(Long, Array[Double])] =
+    rows(df, dims).map { r =>
+      val k = id(r)
+      val x = new Array[Double](dims.length)
+      var i = 0
+      while (i < x.length) { x(i) = attribute(r, dims, i); i += 1 }
+      (k, x)
+    }
 
   /** Every copy of `df`'s tuples as (pid, record). A record is the side,
     * the id and the raw bits of each coordinate, so it is lossless.

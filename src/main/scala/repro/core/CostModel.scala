@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.util.Random
-
 /** Load model `l = β2·I + β3·O` used for split scoring and the max-load
   * lower bound (Lemma 1). The paper's EMR profiling found β2/β3 ≈ 4.
   */
@@ -30,7 +28,7 @@ final case class CostModel(beta0: Double, beta1: Double, beta2: Double, beta3: D
 
 object CostModel {
   /** Unit-cost default: `M = I + 4·Im + Om`, i.e. β1 = 1 and the paper's
-    * β2/β3 = 4 profile. Used when no calibration has been run.
+    * β2/β3 = 4 profile. Table 12 fits its own β with `olsNonNegative`.
     */
   val default: CostModel = CostModel(0.0, 1.0, 4.0, 1.0)
 
@@ -92,37 +90,5 @@ object CostModel {
       }
     }
     out
-  }
-
-  /** Calibration substrate (§2 / §6.1 "Statistics and running-time
-    * model"): run a benchmark of local band-joins with varying input and
-    * output sizes, time them, and regress the β coefficients. This is a
-    * single-machine stand-in for the paper's 100-query cluster profiling
-    * benchmark; it produces a model in (milliseconds, tuples) units.
-    */
-  def calibrate(seed: Long = 7, sizes: Seq[Int] = Seq(2000, 4000, 8000, 16000),
-                widths: Seq[Double] = Seq(0.001, 0.01, 0.05)): CostModel = {
-    val rnd = new Random(seed)
-    val rows = for (n <- sizes; e <- widths) yield {
-      val s = Array.fill(n)(Array(rnd.nextDouble()))
-      val t = Array.fill(n)(Array(rnd.nextDouble()))
-      val band = BandSpec(Array(e))
-      // Warm once, then time.
-      LocalJoin.countMatches(s.take(200), t.take(200), band)
-      val t0 = System.nanoTime()
-      val out = LocalJoin.countMatches(s, t, band)
-      val ms = (System.nanoTime() - t0) / 1e6
-      (2.0 * n, out.toDouble, ms)
-    }
-    // Features: [1, I, Im, Om]; on one "worker" I == Im.
-    val xo = rows.map { case (i, o, _) => Array(1.0, i, i, o) }.toArray
-    val y = rows.map(_._3).toArray
-    // I and Im are collinear on a single worker; fold them: fit
-    // [1, Im, Om] and split the Im weight 20/80 between shuffle (β1)
-    // and local (β2) cost, mirroring the paper's observation that local
-    // join cost dominates shuffle cost on its cluster.
-    val b = ols(xo.map(r => Array(r(0), r(1), r(3))), y)
-    val bIm = math.max(b(1), 1e-9)
-    CostModel(math.max(b(0), 0.0), 0.25 * bIm, 0.75 * bIm, math.max(b(2), 1e-9))
   }
 }

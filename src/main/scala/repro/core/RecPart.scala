@@ -232,53 +232,16 @@ object RecPart {
       (System.nanoTime() - t0) / 1e6, best, trajectory)
   }
 
-  /** Convenience wrapper: sample from DataFrames, compute the exact root
-    * bounding box, then optimize.
-    */
-  def fromDataFrames(s: DataFrame, t: DataFrame, dims: Seq[String], band: BandSpec,
-                     cfg: RecPartConfig, kIn: Int = 8000, kOut: Int = 8000,
-                     seed: Long = 42): RecPartResult = {
-    val sample = Samples.draw(s, t, dims, band, kIn, kOut, seed)
-    val region = exactBounds(s, t, dims)
-    optimize(sample, region, band, cfg)
-  }
-
   /** Exact per-dimension min/max over S ∪ T, from one Spark job without
-    * a shuffle. As SQL's `min` / `max` order doubles, NaN is above every
-    * other value: a bound's `hi` is NaN if any value is, its `lo` only if
-    * every value is. When both inputs are empty there are no bounds; the
-    * region degenerates to the origin. A null join attribute is rejected.
+    * a shuffle: the scan of `Samples.draw`, which returns the same region
+    * as `JoinSample.region`, here with an empty reservoir. As SQL's
+    * `min` / `max` order doubles, NaN is above every other value: a
+    * bound's `hi` is NaN if any value is, its `lo` only if every value
+    * is. When both inputs are empty there are no bounds; the region
+    * degenerates to the origin. A null join attribute is rejected.
     */
-  def exactBounds(s: DataFrame, t: DataFrame, dims: Seq[String]): Region = {
-    import org.apache.spark.sql.functions.col
-    val d = dims.length
-    def rows(df: DataFrame) = df.select(dims.map(c => col(c).cast("double")): _*).queryExecution.toRdd
-    // x below lo, or above hi, in SQL's order of doubles: NaN last, ±0 equal.
-    def below(x: Double, lo: Double) = x < lo || (lo.isNaN && !x.isNaN)
-    def above(x: Double, hi: Double) = x > hi || (x.isNaN && !hi.isNaN)
-    def widen(b: Array[Double], i: Int, lo: Double, hi: Double): Unit = {
-      if (below(lo, b(i))) b(i) = lo
-      if (above(hi, b(d + i))) b(d + i) = hi
-    }
-    // lo(0 until d) ++ hi(0 until d), and the number of tuples
-    val zero = (Array.fill(d)(Double.NaN) ++ Array.fill(d)(Double.NegativeInfinity), 0L)
-    val (b, n) = rows(s).union(rows(t)).aggregate(zero)(
-      { case ((b, n), r) =>
-        var i = 0
-        while (i < d) {
-          val x = BandJoinExec.attribute(r, 0, dims, i)
-          widen(b, i, x, x)
-          i += 1
-        }
-        (b, n + 1)
-      },
-      { case ((a, m), (b, n)) =>
-        for (i <- 0 until d) widen(a, i, b(i), b(d + i))
-        (a, m + n)
-      })
-    if (n == 0) Region(new Array(d), new Array(d))
-    else Region(b.take(d), b.drop(d))
-  }
+  def exactBounds(s: DataFrame, t: DataFrame, dims: Seq[String]): Region =
+    Samples.scan(Seq(s, t), dims, cap = 0, seed = 0L)._2
 
   /** `(w-1)/w²` — the prefactor of `V[P] = (w-1)/w² Σ l_p²` (§4.2). */
   def variancePrefactor(w: Int): Double = (w - 1).toDouble / (w.toDouble * w)

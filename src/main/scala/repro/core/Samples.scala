@@ -2,7 +2,6 @@ package repro.core
 
 import java.util.{Arrays, SplittableRandom}
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import scala.collection.mutable.ArrayBuilder
 import scala.util.Random
 import scala.util.hashing.byteswap64
@@ -17,7 +16,9 @@ final case class WPoint(x: Array[Double], weight: Double) extends Serializable
   */
 final case class WPair(s: Array[Double], t: Array[Double], weight: Double) extends Serializable
 
-/** Input and output samples for the optimizers (Algorithm 1, lines 1-2).
+/** Input and output samples for the optimizers (Algorithm 1, lines 1-2),
+  * the exact input sizes, and the exact bounding box `region` of S ∪ T
+  * (see `RecPart.exactBounds`).
   *
   * Output sampling substitutes Vitorovic et al.'s join sampler with a
   * band-join of the two *input* samples: if kS points are drawn from S
@@ -31,6 +32,7 @@ final case class JoinSample(
     pairs: Array[WPair],
     sCount: Long,
     tCount: Long,
+    region: Region,
 ) {
   /** Estimated |S ⋈_B T| implied by the output sample. */
   def outputEstimate: Double = pairs.iterator.map(_.weight).sum
@@ -43,7 +45,7 @@ object Samples {
     * exact input count, from one Spark job.
     */
   def samplePoints(df: DataFrame, dims: Seq[String], k: Int, seed: Long): (Array[WPoint], Long) = {
-    val side = scan(Seq(df), dims, k, seed).head
+    val side = scan(Seq(df), dims, k, seed)._1.head
     (side.prefix(k), side.count)
   }
 
@@ -84,8 +86,8 @@ object Samples {
   private val PairSourceMin = 8000
   private val PairSourceCap = 64000
 
-  /** Draw the full (input, output) sample set used by an optimizer, from
-    * one Spark job.
+  /** Draw the full (input, output) sample set used by an optimizer, and
+    * the exact bounding box of S ∪ T, from one Spark job.
     *
     * The output sample is produced by band-joining *dedicated* larger
     * point samples (at least `PairSourceMin` per side): the pair yield of
@@ -100,7 +102,7 @@ object Samples {
       s: DataFrame, t: DataFrame, dims: Seq[String], band: BandSpec,
       kIn: Int, kOut: Int, seed: Long = 42): JoinSample = {
     val cap = math.max(PairSourceCap, kIn / 2)
-    val ranked = scan(Seq(s, t), dims, cap, seed)
+    val (ranked, region) = scan(Seq(s, t), dims, cap, seed)
     val (sr, tr) = (ranked(0), ranked(1))
     val (sc, tc) = (sr.count, tr.count)
     // Pair yield scales with kp²/(|S||T|): double the pair-source sample
@@ -114,14 +116,14 @@ object Samples {
       done = pairs.length >= kOut / 4 || kp >= cap || kp >= math.min(sc, tc)
       if (!done) kp = math.min(2 * kp, cap)
     }
-    JoinSample(sr.prefix(kIn / 2), tr.prefix(kIn / 2), pairs, sc, tc)
+    JoinSample(sr.prefix(kIn / 2), tr.prefix(kIn / 2), pairs, sc, tc, region)
   }
 
   /** One input's exact row count and up to `cap` of its points in a
     * uniformly random order: every prefix is a uniform sample without
     * replacement.
     */
-  private final case class Ranked(points: Array[Array[Double]], count: Long) {
+  private[core] final case class Ranked(points: Array[Array[Double]], count: Long) {
     /** The first `k` points, each weighted `count / k`. */
     def prefix(k: Int): Array[WPoint] = {
       val n = math.min(k, points.length)
@@ -130,36 +132,59 @@ object Samples {
     }
   }
 
-  /** One partition of one input: its row count and a uniformly random
+  /** One partition of one input: its row count, a uniformly random
     * ordered sample of at most `cap` of its points, flattened: point k is
-    * `points(k·d until (k+1)·d)`.
+    * `points(k·d until (k+1)·d)`, and its `bounds` (see `widen`).
     */
-  private final case class Kept(side: Int, count: Long, points: Array[Double])
+  private final case class Kept(side: Int, count: Long, points: Array[Double],
+                                bounds: Array[Double])
+
+  /** No bounds in `d` dimensions: lo(0 until d) ++ hi(0 until d), which
+    * `widen` takes to the first values it sees.
+    */
+  private def noBounds(d: Int): Array[Double] =
+    Array.fill(d)(Double.NaN) ++ Array.fill(d)(Double.NegativeInfinity)
+
+  /** Widen bounds `b` in dimension `i` to cover [lo, hi] in SQL's order
+    * of doubles, as its `min` / `max` do: NaN last, ±0 equal.
+    */
+  private def widen(b: Array[Double], i: Int, lo: Double, hi: Double): Unit = {
+    val d = b.length / 2
+    if (lo < b(i) || (b(i).isNaN && !lo.isNaN)) b(i) = lo
+    if (hi > b(d + i) || (hi.isNaN && !b(d + i).isNaN)) b(d + i) = hi
+  }
 
   /** The generator of one input's partition (`part` = -1: the driver's). */
   private def rng(seed: Long, side: Int, part: Int): SplittableRandom =
     new SplittableRandom(byteswap64(byteswap64(seed) + 2L * part + side))
 
-  /** Rank the inputs `dfs` in one Spark job. Each partition counts its
-    * rows and keeps a reservoir of at most `cap` points, shuffled, using a
+  /** Rank the inputs `dfs` in one Spark job, and bound them. Each
+    * partition counts its rows, folds its per-dimension min / max, and
+    * keeps a reservoir of at most `cap` points, shuffled, using a
     * generator seeded by (seed, input, partition). The driver interleaves
     * an input's partitions, drawing the next point from each with
     * probability proportional to its rows not yet drawn. Every prefix of
     * the result is then a uniform sample of the input without replacement.
+    * The bounds follow SQL's `min` / `max` over all inputs (see
+    * `RecPart.exactBounds`); with no rows they are the origin.
     */
-  private def scan(dfs: Seq[DataFrame], dims: Seq[String], cap: Int, seed: Long): Seq[Ranked] = {
+  private[core] def scan(dfs: Seq[DataFrame], dims: Seq[String], cap: Int,
+                         seed: Long): (Seq[Ranked], Region) = {
     val d = dims.length
     val parts = dfs.zipWithIndex.map { case (df, side) =>
-      df.select(dims.map(c => col(c).cast("double")): _*).queryExecution.toRdd
+      BandJoinExec.rows(df, dims)
         .mapPartitionsWithIndex { (part, rows) =>
           val rnd = rng(seed, side, part)
           var kept = new Array[Double](d * math.min(cap, 1024))
+          val bounds = noBounds(d)
           var n = 0
           var count = 0L
           rows.foreach { r =>
+            BandJoinExec.id(r) // rejects a null id
             count += 1
             val slot =
               if (n < cap) n
+              else if (cap == 0) -1
               else { val j = rnd.nextLong(count); if (j < cap) j.toInt else -1 }
             if (slot == n) {
               if (kept.length < (n + 1) * d)
@@ -168,7 +193,8 @@ object Samples {
             }
             var i = 0
             while (i < d) {
-              val x = BandJoinExec.attribute(r, 0, dims, i)
+              val x = BandJoinExec.attribute(r, dims, i)
+              widen(bounds, i, x, x)
               if (slot >= 0) kept(slot * d + i) = x
               i += 1
             }
@@ -180,11 +206,16 @@ object Samples {
             System.arraycopy(kept, j * d, kept, i * d, d)
             System.arraycopy(tmp, 0, kept, j * d, d)
           }
-          Iterator(Kept(side, count, Arrays.copyOf(kept, n * d)))
+          Iterator(Kept(side, count, Arrays.copyOf(kept, n * d), bounds))
         }
     }
     val kept = dfs.head.sparkSession.sparkContext.union(parts).collect()
-    dfs.indices.map { side =>
+    val bounds = noBounds(d)
+    for (k <- kept; i <- 0 until d) widen(bounds, i, k.bounds(i), k.bounds(d + i))
+    val region =
+      if (kept.forall(_.count == 0)) Region(new Array(d), new Array(d))
+      else Region(bounds.take(d), bounds.drop(d))
+    val ranked = dfs.indices.map { side =>
       val ps = kept.filter(_.side == side)
       val left = ps.map(_.count)
       val taken = new Array[Int](ps.length)
@@ -200,5 +231,6 @@ object Samples {
       }
       Ranked(out, ps.map(_.count).sum)
     }
+    (ranked, region)
   }
 }

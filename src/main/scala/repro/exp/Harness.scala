@@ -15,18 +15,18 @@ final case class ExpConfig(
 
 /** Everything shared across the strategies of one experiment: cached
   * inputs, the statistics sample (shared, like the paper's ≤5%
-  * statistics-gathering budget), the exact root bounding box, and the
+  * statistics-gathering budget) with the exact root bounding box, and the
   * exact output pair set (computed once with a trivially correct
   * 1-Bucket execution and reused for every strategy's metrics).
   */
-final class PreparedExp(val cfg: ExpConfig, val sample: JoinSample, val region: Region,
+final class PreparedExp(val cfg: ExpConfig, val sample: JoinSample,
                         val pairs: Dataset[PairRow]) {
   def metrics(part: BandPartitioning): PartMetrics =
     Metrics.compute(cfg.s, cfg.t, cfg.dims, part, pairs)
 
   /** The same experiment with its statistics sample drawn from `seed`. */
   def withSampleSeed(seed: Long): PreparedExp = new PreparedExp(cfg,
-    Samples.draw(cfg.s, cfg.t, cfg.dims, cfg.band, cfg.kIn, cfg.kOut, seed), region, pairs)
+    Samples.draw(cfg.s, cfg.t, cfg.dims, cfg.band, cfg.kIn, cfg.kOut, seed), pairs)
 }
 
 /** Outcome of running one strategy on one experiment. */
@@ -51,11 +51,10 @@ object Harness {
     cfg.s.cache().count()
     cfg.t.cache().count()
     val sample = Samples.draw(cfg.s, cfg.t, cfg.dims, cfg.band, cfg.kIn, cfg.kOut)
-    val region = RecPart.exactBounds(cfg.s, cfg.t, cfg.dims)
     val pairs = BandJoinExec.pairs(cfg.s, cfg.t, cfg.dims, cfg.band,
       OneBucket.forWorkers(math.min(cfg.w, 16))).cache()
     pairs.count()
-    new PreparedExp(cfg, sample, region, pairs)
+    new PreparedExp(cfg, sample, pairs)
   }
 
   private def finish(prep: PreparedExp, name: String, part: BandPartitioning,
@@ -76,7 +75,7 @@ object Harness {
     // symmetric partitioning keeps its meaning (DESIGN.md §6).
     val rc = RecPartConfig(cfg.w, symmetric = symmetric, costModel = model,
       termination = termination, gridFallback = symmetric)
-    val res = RecPart.optimize(prep.sample, prep.region, cfg.band, rc)
+    val res = RecPart.optimize(prep.sample, prep.sample.region, cfg.band, rc)
     finish(prep, if (symmetric) "RecPart" else "RecPart-S", res.partitioning,
       res.optTimeMs, s"iters=${res.iterations} chosen=${res.chosenIteration}")
   }

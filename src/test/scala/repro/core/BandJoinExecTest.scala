@@ -15,10 +15,9 @@ class BandJoinExecTest extends SparkSpec {
   private def strategies(name: String, s: DataFrame, t: DataFrame,
                          dims: Seq[String], band: BandSpec): Seq[(String, BandPartitioning)] = {
     val sample = Samples.draw(s, t, dims, band, 600, 600, seed = 7)
-    val region = RecPart.exactBounds(s, t, dims)
-    val recS = RecPart.optimize(sample, region, band,
+    val recS = RecPart.optimize(sample, sample.region, band,
       RecPartConfig(w, symmetric = false)).partitioning
-    val rec = RecPart.optimize(sample, region, band,
+    val rec = RecPart.optimize(sample, sample.region, band,
       RecPartConfig(w, symmetric = true)).partitioning
     val cs = CsIo.build(s, t, dims, band, w, sample, g0 = 24).part
     val ie = IEJoinPart.build(s, t, dims, band, w, sizePerBlock = 64, sample)._1
@@ -62,7 +61,6 @@ class BandJoinExecTest extends SparkSpec {
 
   test("routing explodes every tuple at least once") {
     val s = TestData.randomDf(spark, 100, 1, 99)
-    val band = BandSpec(Array(0.1))
     val part = OneBucket.forWorkers(4)
     val routed = BandJoinExec.route(s, Seq("a1"), 0, part)
     assert(routed.count() == 100 * part.c)
@@ -78,6 +76,11 @@ class BandJoinExecTest extends SparkSpec {
     assert(rejected(BandJoinExec.pairs(s, t, Seq("a1"), band, part).count()))
     assert(rejected(RecPart.exactBounds(s, t, Seq("a1"))))
     assert(rejected(RecPart.exactBounds(t, s, Seq("a1"))))
+    assert(rejected(Samples.draw(s, t, Seq("a1"), band, 100, 100)))
+    // The baselines read the full inputs with a sample of clean data.
+    val clean = Samples.draw(t, t, Seq("a1"), band, 100, 100)
+    assert(rejected(CsIo.build(s, t, Seq("a1"), band, 4, clean)))
+    assert(rejected(IEJoinPart.build(s, t, Seq("a1"), band, 4, sizePerBlock = 64, clean)))
     assert(rejected(Metrics.compute(s, t, Seq("a1"), part,
       BandJoinExec.pairs(t, t, Seq("a1"), band, part))))
     val noId = Seq((Option.empty[Long], 0.5)).toDF("id", "a1")
@@ -141,7 +144,8 @@ class BandJoinExecTest extends SparkSpec {
     val empty = full.limit(0)
     for ((label, s, t) <- Seq(("both empty", empty, empty), ("S empty", empty, full),
                               ("T empty", full, empty))) {
-      val res = RecPart.fromDataFrames(s, t, dims, band, RecPartConfig(w))
+      val sample = Samples.draw(s, t, dims, band, 8000, 8000)
+      val res = RecPart.optimize(sample, sample.region, band, RecPartConfig(w))
       if (label == "both empty")
         assert(SplitTree.leaves(res.partitioning.root).size == 1, label)
       def finite(p: Product): Boolean = p.productIterator.forall {

@@ -4,7 +4,9 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{col, max, min}
 import repro.{SparkSpec, TestData}
 
-/** `RecPart.exactBounds` against Spark SQL's `min` / `max` over S ∪ T. */
+/** `RecPart.exactBounds` and `JoinSample.region` against Spark SQL's
+  * `min` / `max` over S ∪ T.
+  */
 class ExactBoundsTest extends SparkSpec {
 
   /** The bounds as Spark SQL aggregates them; nulls (no rows) become 0. */
@@ -28,10 +30,12 @@ class ExactBoundsTest extends SparkSpec {
   private def check(label: String, s: DataFrame, t: DataFrame, d: Int): Region = {
     val dims = TestData.dims(d)
     val got = RecPart.exactBounds(s, t, dims)
+    val drawn = Samples.draw(s, t, dims, BandSpec(Array.fill(d)(0.0)), 100, 100).region
     val want = sqlBounds(s, t, dims)
-    assert(same(got.lo, want.lo) && same(got.hi, want.hi),
-      s"$label: lo ${got.lo.toSeq} hi ${got.hi.toSeq}, " +
-        s"SQL lo ${want.lo.toSeq} hi ${want.hi.toSeq}")
+    for ((source, r) <- Seq("exactBounds" -> got, "draw" -> drawn))
+      assert(same(r.lo, want.lo) && same(r.hi, want.hi),
+        s"$label, $source: lo ${r.lo.toSeq} hi ${r.hi.toSeq}, " +
+          s"SQL lo ${want.lo.toSeq} hi ${want.hi.toSeq}")
     got
   }
 

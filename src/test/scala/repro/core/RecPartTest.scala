@@ -20,7 +20,8 @@ class RecPartTest extends AnyFunSuite {
     val pairs = for {
       a <- sp; b <- tp if band.matches(a.x, b.x)
     } yield WPair(a.x, b.x, sW * tW)
-    JoinSample(sp, tp, pairs, math.round(s.size * sW), math.round(t.size * tW))
+    JoinSample(sp, tp, pairs, math.round(s.size * sW), math.round(t.size * tW),
+      region(s ++ t, (s ++ t).head.length))
   }
 
   private def region(pts: Seq[Array[Double]], d: Int): Region =

@@ -1,8 +1,29 @@
 package repro.core
 
+import java.lang.Double.doubleToRawLongBits
+import java.nio.ByteBuffer
+import java.security.MessageDigest
 import repro.{SparkSpec, TestData}
 
 class SamplesTest extends SparkSpec {
+
+  /** SHA-256 of a sample's counts, points, weights, pairs and region, bit
+    * for bit.
+    */
+  private def digest(js: JoinSample): String = {
+    val md = MessageDigest.getInstance("SHA-256")
+    def put(x: Long): Unit = md.update(ByteBuffer.allocate(8).putLong(x).array)
+    def putAll(xs: Array[Double]): Unit = { put(xs.length); xs.foreach(x => put(doubleToRawLongBits(x))) }
+    put(js.sCount); put(js.tCount)
+    for (ps <- Seq(js.sPoints, js.tPoints)) {
+      put(ps.length)
+      ps.foreach { p => putAll(p.x); putAll(Array(p.weight)) }
+    }
+    put(js.pairs.length)
+    js.pairs.foreach { p => putAll(p.s); putAll(p.t); putAll(Array(p.weight)) }
+    putAll(js.region.lo); putAll(js.region.hi)
+    md.digest().map(b => f"$b%02x").mkString
+  }
 
   test("samplePoints caps at k and weights sum to the input size") {
     val df = TestData.randomDf(spark, 1000, 2, 1)
@@ -62,7 +83,6 @@ class SamplesTest extends SparkSpec {
   }
 
   test("integer join columns are cast to double points") {
-    import spark.implicits._
     val df = spark.range(100).selectExpr("id", "cast(id % 10 as int) as a1")
     val (pts, _) = Samples.samplePoints(df, Seq("a1"), 1000, 1)
     assert(pts.forall(p => p.x(0) == math.floor(p.x(0))))
@@ -120,5 +140,13 @@ class SamplesTest extends SparkSpec {
     assert(a.map(p => (p.s.toSeq, p.t.toSeq, p.weight)).toSeq == b.map(p => (p.s.toSeq, p.t.toSeq, p.weight)).toSeq)
     val all = Samples.samplePairs(sp, 3000, tp, 3000, band, Int.MaxValue, 8)
     assert(math.abs(a.map(_.weight).sum - all.map(_.weight).sum) < 1e-6 * all.map(_.weight).sum)
+  }
+
+  test("draw is pinned on a fixed input pair") {
+    val s = TestData.randomDf(spark, 3000, 2, 31, lo = -5, hi = 5)
+    val t = TestData.randomDf(spark, 2500, 2, 32, skewed = true)
+    val js = Samples.draw(s, t, Seq("a1", "a2"), BandSpec(Array(0.1, 0.2)), 1000, 300, seed = 17)
+    assert(js.pairs.length == 300 && js.sPoints.length == 500)
+    assert(digest(js) == "d49f09ab8a632c9b0c6033498e0f6d4a77f686c509a354082e263289d07330d0")
   }
 }
