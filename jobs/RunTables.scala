@@ -21,6 +21,9 @@ object RunTables {
     val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"tables-${ids.mkString("-")}")
+      // BandSynth's rand(seed) and the sampler's per-partition reservoirs
+      // follow the partition count, so it is fixed for every machine.
+      .config("spark.default.parallelism", 4)
       .getOrCreate()
     spark.sparkContext.setLogLevel("WARN")
     val failed = ids.flatMap { id =>

@@ -3,7 +3,7 @@ package repro.exp
 import org.apache.spark.sql.DataFrame
 import repro.core._
 
-/** Band-width calibration (DESIGN.md §3): the paper's inputs are 1000×
+/** Band-width calibration (DESIGN.md §3): the paper's inputs are 2000×
   * larger than ours and output cardinality scales with |S|·|T|, so we
   * cannot keep both the paper's band widths and its output/input
   * *ratios*. The ratios are what drive the load tradeoff (β2·Im vs

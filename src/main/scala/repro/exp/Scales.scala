@@ -4,8 +4,8 @@ package repro.exp
   * repository's local reproduction (DESIGN.md §3).
   *
   * The paper's unit is "millions of tuples"; ours is "thousands": a
-  * paper row of total input 400 (million) maps to 400k/2 = 200k local
-  * tuples per side. Duplication factors, balance ratios and win/lose
+  * paper row of total input 400 (million) maps to 200k local tuples,
+  * 100k per side. Duplication factors, balance ratios and win/lose
   * ordering are cardinality-invariant, which is what EXPERIMENTS.md
   * compares.
   */

@@ -2,38 +2,24 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import repro.core._
-import repro.data.BandSynth
-import repro.exp.PaperTables.{W, ebirdCloud, paretoPair}
+import repro.exp.PaperTables.{ebirdCloud, ebirdCloudEps, pareto, paretoEps}
 
 /** Competition-style tables of the evaluation section: Tables 2a/2b/2c
   * (band-width impact), 3 (skew), 4a-4d (scalability) and 15
   * (dimensionality sweep). Each reproduces the paper's rows at 1/2000
   * scale with band widths calibrated to the paper's output/input ratio
-  * (DESIGN.md §3) and prints ours next to the paper's numbers.
+  * (DESIGN.md §3), next to the paper's numbers. Each holds only its
+  * data: the rows' instances and paper numbers, the RecPart variant and
+  * the near-optimality tolerance.
   */
 object Tables {
 
-  private def checksFor(outs: Seq[CompetitionOutcome],
-                        tol: Double): Seq[(String, Boolean)] =
-    outs.flatMap { o =>
-      Seq(
-        (s"${o.label}: RecPart within ${(tol * 100).round}% of both lower bounds",
-          Competition.recPartNearOptimal(o, tol)),
-        (s"${o.label}: RecPart has the best predicted time",
-          Competition.recPartWins(o)))
-    }
-
-  /** `tol` — near-optimality tolerance; the 8-dimensional tables use a
-    * looser bound (the paper's <=10% was achieved at 2000x our input
-    * cardinality and 12.5x our sample rate; in 8D the corner clique
-    * spans many ε at our scale, see EXPERIMENTS.md).
-    */
-  private def render(title: String, outs: Seq[CompetitionOutcome],
-                     papers: Seq[Map[String, PaperNums]],
-                     tol: Double = 0.40): TableOutput =
-    TableOutput(title,
-      outs.zip(papers).flatMap { case (o, p) => Competition.lines(o, p) },
-      checksFor(outs, tol))
+  /** Table 8 reruns this row's instance. */
+  private[exp] val ebirdCloud222Paper = Map(
+    "RecPart" -> PaperNums(423, 3, 899, 32, 66),
+    "CS_IO" -> PaperNums(2615, 1553, 1830, 107, 74),
+    "1-Bucket" -> PaperNums(1573, -1, 4832, 161, 67),
+    "Grid-eps" -> PaperNums(1377, -1, 10783, 361, 74))
 
   // -------------------------------------------------------------------
   // Table 2a — pareto-1.5, d = 1, varying band width
@@ -44,34 +30,29 @@ object Tables {
     // paper's output ratio 2430/400; widths are then 1..3 lattice steps,
     // mirroring the paper's 1e-5 steps
     val q = Calibrate.quantizeForEquiRatio(spark, 1.5, Scales.ParetoRows, 2430.0 / 400)
-    def row(label: String, mult: Int, paper: Map[String, PaperNums]) =
-      CompetitionRow(label, () => {
-        val (s, t) = paretoPair(spark, Scales.ParetoRows, 1.5, 1, quantize = q)
-        ExpConfig(label, s, t, BandSynth.dims(1), BandSpec(Array(mult * q)), W)
-      }, recSymmetric = false, paper)
-    val rows = Seq(
-      row(f"bw=0 (q=$q%.2e)", 0, Map(
+    def row(label: String, mult: Int) =
+      pareto(spark, label, 1.5, 1, BandSpec(Array(mult * q)), quantize = q)
+    Competition.table("Table 2a: pareto-1.5, d=1, varying band width (RecPart-S)",
+        symmetric = false)(Seq(
+      row(f"bw=0 (q=$q%.2e)", 0) -> Map(
         "RecPart" -> PaperNums(351, 3, 400, 14, 83),
         "CS_IO" -> PaperNums(512, 29, 496, 13, 131),
-        "1-Bucket" -> PaperNums(762, -1, 2200, 73, 81))),
-      row("bw=1q (paper 1e-5)", 1, Map(
+        "1-Bucket" -> PaperNums(762, -1, 2200, 73, 81)),
+      row("bw=1q (paper 1e-5)", 1) -> Map(
         "RecPart" -> PaperNums(539, 7, 400, 12, 158),
         "CS_IO" -> PaperNums(685, -1, 475, 8, 266),
         "1-Bucket" -> PaperNums(1004, -1, 2200, 73, 153),
-        "Grid-eps" -> PaperNums(540, -1, 800, 27, 153))),
-      row("bw=2q (paper 2e-5)", 2, Map(
+        "Grid-eps" -> PaperNums(540, -1, 800, 27, 153)),
+      row("bw=2q (paper 2e-5)", 2) -> Map(
         "RecPart" -> PaperNums(813, 3, 401, 13, 305),
         "CS_IO" -> PaperNums(992, -1, 488, 10, 388),
         "1-Bucket" -> PaperNums(1316, -1, 2200, 73, 304),
-        "Grid-eps" -> PaperNums(834, -1, 800, 27, 304))),
-      row("bw=3q (paper 3e-5)", 3, Map(
+        "Grid-eps" -> PaperNums(834, -1, 800, 27, 304)),
+      row("bw=3q (paper 3e-5)", 3) -> Map(
         "RecPart" -> PaperNums(878, 3, 401, 12, 384),
         "CS_IO" -> PaperNums(1170, 30, 479, 10, 503),
         "1-Bucket" -> PaperNums(1520, -1, 2200, 73, 376),
         "Grid-eps" -> PaperNums(956, -1, 800, 27, 376))))
-    val outs = rows.map(Competition.run)
-    render("Table 2a: pareto-1.5, d=1, varying band width (RecPart-S)",
-      outs, rows.map(_.paper))
   }
 
   // -------------------------------------------------------------------
@@ -79,34 +60,25 @@ object Tables {
   // -------------------------------------------------------------------
 
   def table2b(spark: SparkSession): TableOutput = {
-    val (sc, tc) = paretoPair(spark, Scales.ParetoRows, 1.5, 3)
-    val eps2 = Calibrate.epsForRatio(sc, tc, BandSynth.dims(3),
-      Array(1.0, 1.0, 1.0), 1120.0 / 400)
-    val eps4 = Calibrate.epsForRatio(sc, tc, BandSynth.dims(3),
-      Array(1.0, 1.0, 1.0), 8740.0 / 400)
-    def row(label: String, band: BandSpec, paper: Map[String, PaperNums]) =
-      CompetitionRow(label, () => {
-        val (s, t) = paretoPair(spark, Scales.ParetoRows, 1.5, 3)
-        ExpConfig(label, s, t, BandSynth.dims(3), band, W)
-      }, recSymmetric = false, paper)
-    val rows = Seq(
-      row("bw=(0,0,0)", BandSpec.uniform(3, 0.0), Map(
+    val eps2 = paretoEps(spark, 1.5, 3, 1120.0 / 400)
+    val eps4 = paretoEps(spark, 1.5, 3, 8740.0 / 400)
+    def row(label: String, band: BandSpec) = pareto(spark, label, 1.5, 3, band)
+    Competition.table("Table 2b: pareto-1.5, d=3, varying band width (RecPart-S)",
+        symmetric = false)(Seq(
+      row("bw=(0,0,0)", BandSpec.uniform(3, 0.0)) -> Map(
         "RecPart" -> PaperNums(230, 1, 401, 14, 0),
         "CS_IO" -> PaperNums(366, 46, 497, 17, 0),
-        "1-Bucket" -> PaperNums(792, -1, 2200, 73, 0))),
-      row(f"bw~(2,2,2) [eps=${eps2.eps(0)}%.3f]", eps2, Map(
+        "1-Bucket" -> PaperNums(792, -1, 2200, 73, 0)),
+      row(f"bw~(2,2,2) [eps=${eps2.eps(0)}%.3f]", eps2) -> Map(
         "RecPart" -> PaperNums(344, 2, 404, 15, 29),
         "CS_IO" -> PaperNums(1339, 694, 652, 19, 69),
         "1-Bucket" -> PaperNums(1149, -1, 2200, 73, 37),
-        "Grid-eps" -> PaperNums(1412, -1, 5541, 185, 37))),
-      row(f"bw~(4,4,4) [eps=${eps4.eps(0)}%.3f]", eps4, Map(
+        "Grid-eps" -> PaperNums(1412, -1, 5541, 185, 37)),
+      row(f"bw~(4,4,4) [eps=${eps4.eps(0)}%.3f]", eps4) -> Map(
         "RecPart" -> PaperNums(860, 2, 413, 14, 290),
         "CS_IO" -> PaperNums(2557, 1345, 838, 31, 321),
         "1-Bucket" -> PaperNums(1772, -1, 2200, 73, 291),
         "Grid-eps" -> PaperNums(1816, -1, 5485, 183, 291))))
-    val outs = rows.map(Competition.run)
-    render("Table 2b: pareto-1.5, d=3, varying band width (RecPart-S)",
-      outs, rows.map(_.paper))
   }
 
   // -------------------------------------------------------------------
@@ -114,33 +86,21 @@ object Tables {
   // -------------------------------------------------------------------
 
   def table2c(spark: SparkSession): TableOutput = {
-    val (ec, cc) = ebirdCloud(spark, 1.0)
-    val base = Array(10.0, 1.0, 1.0) // time gets a wider base: days vs degrees
-    val eps1 = Calibrate.epsForRatio(ec, cc, BandSynth.dims(3), base, 320.0 / 890)
-    val eps2 = Calibrate.epsForRatio(ec, cc, BandSynth.dims(3), base, 2134.0 / 890)
-    def row(label: String, band: BandSpec, paper: Map[String, PaperNums]) =
-      CompetitionRow(label, () => {
-        val (s, t) = ebirdCloud(spark, 1.0)
-        ExpConfig(label, s, t, BandSynth.dims(3), band, W)
-      }, recSymmetric = false, paper)
-    val rows = Seq(
-      row("bw=(0,0,0)", BandSpec.uniform(3, 0.0), Map(
+    val eps1 = ebirdCloudEps(spark, 320.0 / 890)
+    val eps2 = ebirdCloudEps(spark, 2134.0 / 890)
+    def row(label: String, band: BandSpec) = ebirdCloud(spark, label, band)
+    Competition.table("Table 2c: ebird join cloud, d=3, varying band width (RecPart-S)",
+        symmetric = false)(Seq(
+      row("bw=(0,0,0)", BandSpec.uniform(3, 0.0)) -> Map(
         "RecPart" -> PaperNums(248, 3, 890, 30, 0),
         "CS_IO" -> PaperNums(346, 38, 951, 32, 0),
-        "1-Bucket" -> PaperNums(1418, -1, 4832, 161, 0))),
-      row(f"bw~(1,1,1) [eps1=${eps1.eps(1)}%.3f]", eps1, Map(
+        "1-Bucket" -> PaperNums(1418, -1, 4832, 161, 0)),
+      row(f"bw~(1,1,1) [eps1=${eps1.eps(1)}%.3f]", eps1) -> Map(
         "RecPart" -> PaperNums(332, 3, 895, 35, 5),
         "CS_IO" -> PaperNums(1945, 968, 1490, 95, 9),
         "1-Bucket" -> PaperNums(1532, -1, 4832, 161, 11),
-        "Grid-eps" -> PaperNums(1419, -1, 10891, 361, 11))),
-      row(f"bw~(2,2,2) [eps1=${eps2.eps(1)}%.3f]", eps2, Map(
-        "RecPart" -> PaperNums(423, 3, 899, 32, 66),
-        "CS_IO" -> PaperNums(2615, 1553, 1830, 107, 74),
-        "1-Bucket" -> PaperNums(1573, -1, 4832, 161, 67),
-        "Grid-eps" -> PaperNums(1377, -1, 10783, 361, 74))))
-    val outs = rows.map(Competition.run)
-    render("Table 2c: ebird join cloud, d=3, varying band width (RecPart-S)",
-      outs, rows.map(_.paper))
+        "Grid-eps" -> PaperNums(1419, -1, 10891, 361, 11)),
+      row(f"bw~(2,2,2) [eps1=${eps2.eps(1)}%.3f]", eps2) -> ebirdCloud222Paper))
   }
 
   // -------------------------------------------------------------------
@@ -150,9 +110,7 @@ object Tables {
   def table3(spark: SparkSession): TableOutput = {
     // calibrate ε once on z=1.5 (paper ratio 1120/400) and reuse across
     // skews, as the paper fixes (2,2,2) across its z values
-    val (sc, tc) = paretoPair(spark, Scales.ParetoRows, 1.5, 3)
-    val eps = Calibrate.epsForRatio(sc, tc, BandSynth.dims(3),
-      Array(1.0, 1.0, 1.0), 1120.0 / 400)
+    val eps = paretoEps(spark, 1.5, 3, 1120.0 / 400)
     val papers = Map(
       0.5 -> Map(
         "RecPart" -> PaperNums(230, 3, 401, 13, 0.3),
@@ -174,15 +132,9 @@ object Tables {
         "CS_IO" -> PaperNums(1811, 1000, 747, 19, 168),
         "1-Bucket" -> PaperNums(1369, -1, 2200, 73, 107),
         "Grid-eps" -> PaperNums(2417, -1, 5522, 184, 107)))
-    val rows = Seq(0.5, 1.0, 1.5, 2.0).map { z =>
-      CompetitionRow(s"pareto-$z", () => {
-        val (s, t) = paretoPair(spark, Scales.ParetoRows, z, 3)
-        ExpConfig(s"pareto-$z", s, t, BandSynth.dims(3), eps, W)
-      }, recSymmetric = false, papers(z))
-    }
-    val outs = rows.map(Competition.run)
-    render("Table 3: skew resistance, pareto-z, d=3 (RecPart-S)",
-      outs, rows.map(_.paper))
+    Competition.table("Table 3: skew resistance, pareto-z, d=3 (RecPart-S)",
+        symmetric = false)(
+      Seq(0.5, 1.0, 1.5, 2.0).map(z => pareto(spark, s"pareto-$z", z, 3, eps) -> papers(z)))
   }
 
   // -------------------------------------------------------------------
@@ -190,9 +142,7 @@ object Tables {
   // -------------------------------------------------------------------
 
   def table4a(spark: SparkSession): TableOutput = {
-    val (sc, tc) = paretoPair(spark, Scales.ParetoRows, 1.5, 3)
-    val eps = Calibrate.epsForRatio(sc, tc, BandSynth.dims(3),
-      Array(1.0, 1.0, 1.0), 1120.0 / 400)
+    val eps = paretoEps(spark, 1.5, 3, 1120.0 / 400)
     val papers = Seq(
       Map(
         "RecPart" -> PaperNums(306, 1, 202, 13, 20),
@@ -210,22 +160,15 @@ object Tables {
         "1-Bucket" -> PaperNums(1731, -1, 6400, 107, 74),
         "Grid-eps" -> PaperNums(-1, -1, 11089, 185, 74))) // paper: FAILED
     val shapes = Seq((0.5, 15), (1.0, 30), (2.0, 60))
-    val rows = shapes.zip(papers).map { case ((mult, w), p) =>
-      CompetitionRow(s"pareto-1.5 x$mult w=$w", () => {
-        val n = (Scales.ParetoRows * mult).toLong
-        val (s, t) = paretoPair(spark, n, 1.5, 3)
-        ExpConfig(s"4a-$w", s, t, BandSynth.dims(3), eps, w)
-      }, recSymmetric = false, p)
-    }
-    val outs = rows.map(Competition.run)
-    render("Table 4a: scalability (input and workers), pareto-1.5 d=3 (RecPart-S)",
-      outs, rows.map(_.paper))
+    Competition.table("Table 4a: scalability (input and workers), pareto-1.5 d=3 (RecPart-S)",
+        symmetric = false)(shapes.zip(papers).map { case ((mult, w), p) =>
+      pareto(spark, s"pareto-1.5 x$mult w=$w", 1.5, 3, eps, w,
+        rows = (Scales.ParetoRows * mult).toLong) -> p
+    })
   }
 
   def table4b(spark: SparkSession): TableOutput = {
-    val (ec, cc) = ebirdCloud(spark, 1.0)
-    val base = Array(10.0, 1.0, 1.0)
-    val eps = Calibrate.epsForRatio(ec, cc, BandSynth.dims(3), base, 2000.0 / 890)
+    val eps = ebirdCloudEps(spark, 2000.0 / 890)
     val papers = Seq(
       Map(
         "RecPart" -> PaperNums(207, 3, 223, 15, 11),
@@ -243,26 +186,17 @@ object Tables {
         "1-Bucket" -> PaperNums(1117, -1, 6870, 114, 36),
         "Grid-eps" -> PaperNums(793, -1, 10805, 180, 36)))
     val shapes = Seq((0.25, 15), (0.5, 30), (1.0, 60))
-    val rows = shapes.zip(papers).map { case ((mult, w), p) =>
-      CompetitionRow(s"ebird-cloud x$mult w=$w", () => {
-        val (s, t) = ebirdCloud(spark, mult)
-        ExpConfig(s"4b-$w", s, t, BandSynth.dims(3), eps, w)
-      }, recSymmetric = false, p)
-    }
-    val outs = rows.map(Competition.run)
-    render("Table 4b: scalability (input and workers), ebird join cloud (RecPart-S)",
-      outs, rows.map(_.paper))
+    Competition.table("Table 4b: scalability (input and workers), ebird join cloud (RecPart-S)",
+        symmetric = false)(shapes.zip(papers).map { case ((mult, w), p) =>
+      ebirdCloud(spark, s"ebird-cloud x$mult w=$w", eps, w, scale = mult) -> p
+    })
   }
 
   // -------------------------------------------------------------------
   // Table 4c/4d — 8-dimensional band-joins
   // -------------------------------------------------------------------
 
-  private def eps8(spark: SparkSession): BandSpec = {
-    val (sc, tc) = paretoPair(spark, Scales.ParetoRows, 1.5, 8)
-    Calibrate.epsForRatio(sc, tc, BandSynth.dims(8),
-      Array.fill(8)(1.0), 219.0 / 400)
-  }
+  private def eps8(spark: SparkSession): BandSpec = paretoEps(spark, 1.5, 8, 219.0 / 400)
 
   def table4c(spark: SparkSession): TableOutput = {
     val eps = eps8(spark)
@@ -288,16 +222,11 @@ object Tables {
         "1-Bucket" -> PaperNums(2390, -1, 4400, 147, 29),
         "Grid-eps" -> PaperNums(1390000, -1, 2379329, 79311, 29)))
     val mults = Seq(0.25, 0.5, 1.0, 2.0)
-    val rows = mults.zip(papers).map { case (mult, p) =>
-      CompetitionRow(s"pareto-1.5 d=8 x$mult", () => {
-        val n = (Scales.ParetoRows * mult).toLong
-        val (s, t) = paretoPair(spark, n, 1.5, 8)
-        ExpConfig(s"4c-$mult", s, t, BandSynth.dims(8), eps, W)
-      }, recSymmetric = true, p)
-    }
-    val outs = rows.map(Competition.run)
-    render("Table 4c: varying input size, pareto-1.5 d=8, w=30 (RecPart)",
-      outs, rows.map(_.paper), tol = 1.0)
+    Competition.table("Table 4c: varying input size, pareto-1.5 d=8, w=30 (RecPart)",
+        symmetric = true, tol = 1.0)(mults.zip(papers).map { case (mult, p) =>
+      pareto(spark, s"pareto-1.5 d=8 x$mult", 1.5, 8, eps,
+        rows = (Scales.ParetoRows * mult).toLong) -> p
+    })
   }
 
   def table4d(spark: SparkSession): TableOutput = {
@@ -323,18 +252,13 @@ object Tables {
         "CS_IO" -> PaperNums(3703, 3431, 619, 13, 2),
         "1-Bucket" -> PaperNums(1287, -1, 3200, 53, 4),
         "Grid-eps" -> PaperNums(525000, -1, 1189996, 19833, 4)))
-    val ws = Seq(1, 15, 30, 60)
-    val rows = ws.zip(papers).map { case (w, p) =>
-      CompetitionRow(s"pareto-1.5 d=8 w=$w", () => {
-        val (s, t) = paretoPair(spark, Scales.ParetoRows, 1.5, 8)
-        ExpConfig(s"4d-$w", s, t, BandSynth.dims(8), eps, w)
-      }, recSymmetric = true, p)
-    }
-    val outs = rows.map(Competition.run)
     // w=1 has zero variance: every method degenerates to one worker and
     // the near-optimality checks hold trivially.
-    render("Table 4d: varying workers, pareto-1.5 d=8, input x1.0 (RecPart)",
-      outs, rows.map(_.paper), tol = 1.0)
+    val ws = Seq(1, 15, 30, 60)
+    Competition.table("Table 4d: varying workers, pareto-1.5 d=8, input x1.0 (RecPart)",
+        symmetric = true, tol = 1.0)(ws.zip(papers).map { case (w, p) =>
+      pareto(spark, s"pareto-1.5 d=8 w=$w", 1.5, 8, eps, w) -> p
+    })
   }
 
   // -------------------------------------------------------------------
@@ -368,17 +292,9 @@ object Tables {
         "CS_IO" -> PaperNums(458, 151, 560, 20, 0),
         "1-Bucket" -> PaperNums(1166, -1, 2200, 73, 0),
         "Grid-eps" -> PaperNums(694560, -1, 1280326, 43747, 0)))
-    val rows = Seq(1, 2, 4, 8).map { d =>
-      CompetitionRow(s"pareto-1.5 d=$d", () => {
-        val (sc, tc) = paretoPair(spark, Scales.ParetoRows, 1.5, d)
-        val eps = Calibrate.epsForRatio(sc, tc, BandSynth.dims(d),
-          Array.fill(d)(1.0), targets(d))
-        val (s, t) = paretoPair(spark, Scales.ParetoRows, 1.5, d)
-        ExpConfig(s"15-d$d", s, t, BandSynth.dims(d), eps, W)
-      }, recSymmetric = true, papers(d))
-    }
-    val outs = rows.map(Competition.run)
-    render("Table 15: dimensionality sweep, pareto-1.5 (RecPart)",
-      outs, rows.map(_.paper))
+    Competition.table("Table 15: dimensionality sweep, pareto-1.5 (RecPart)",
+        symmetric = true)(Seq(1, 2, 4, 8).map { d =>
+      pareto(spark, s"pareto-1.5 d=$d", 1.5, d, paretoEps(spark, 1.5, d, targets(d))) -> papers(d)
+    })
   }
 }

@@ -4,7 +4,8 @@ import org.apache.spark.sql.SparkSession
 import repro.baselines.{GridEps, OneBucket}
 import repro.core._
 import repro.data.BandSynth
-import repro.exp.PaperTables.{W, ebirdCloud, paretoPair}
+import repro.exp.PaperNums.counts
+import repro.exp.PaperTables._
 
 /** The non-competition tables: grid tuning (5, 6), IEJoin (7/11),
   * cost-ratio sensitivity (8/13), symmetric partitioning (9/14),
@@ -13,51 +14,38 @@ import repro.exp.PaperTables.{W, ebirdCloud, paretoPair}
   */
 object TablesSpecial {
 
-  private def rvPair(spark: SparkSession, rows: Long, z: Double, d: Int) = (
-    BandSynth.pareto(spark, rows, z, d, seed = 1001),
-    BandSynth.rvPareto(spark, rows, z, d, seed = 2002))
+  /** The row of `strategy` or of its parameterized form `strategy(…)`. */
+  private def get(rows: Seq[TableRow], strategy: String): TableRow =
+    rows.find(r => r.strategy == strategy || r.strategy.startsWith(strategy + "(")).get
 
   // -------------------------------------------------------------------
   // Table 5 — Grid-ε vs Grid*: grid-size impact on (model) join time
   // -------------------------------------------------------------------
 
   def table5(spark: SparkSession): TableOutput = {
-    val (s, t) = paretoPair(spark, Scales.ParetoRows, 1.5, 3)
-    val eps = Calibrate.epsForRatio(s, t, BandSynth.dims(3),
-      Array(1.0, 1.0, 1.0), 1120.0 / 400)
-    val prep = Harness.prepare(ExpConfig("table5", s, t, BandSynth.dims(3), eps, W))
     // the paper sweeps absolute grid sizes 1..64 with ε = 2, i.e.
     // multipliers 0.5 .. 32 of the band width
     val mults = Seq(0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-    val paperJt = Map(0.5 -> 2993.0, 1.0 -> 3021.0, 2.0 -> 1023.0, 4.0 -> 533.0,
-      8.0 -> 389.0, 16.0 -> 336.0, 32.0 -> 344.0)
-    val gridRows = mults.map { m =>
-      val r = Harness.gridEps(prep, m).get
-      (m, r)
+    def jt(t: Double) = PaperNums(t, -1, -1, -1, -1)
+    val rows = Harness.run(
+      pareto(spark, "pareto-1.5 bw~(2,2,2)", 1.5, 3, paretoEps(spark, 1.5, 3, 1120.0 / 400)),
+      Map("Grid(x0.5)" -> jt(2993), "Grid-eps" -> jt(3021), "Grid(x2.0)" -> jt(1023),
+        "Grid(x4.0)" -> jt(533), "Grid(x8.0)" -> jt(389), "Grid(x16.0)" -> jt(336),
+        "Grid(x32.0)" -> jt(344),
+        "Grid*" -> PaperNums(335, -1, 460, 16, -1),
+        "RecPart-S" -> PaperNums(286, -1, 404, 15, -1),
+        "CS_IO" -> PaperNums(459, -1, 652, 19, -1),
+        "1-Bucket" -> PaperNums(1236, -1, 2200, 73, -1))) { p =>
+      mults.flatMap(Harness.gridEps(p, _)) ++ Harness.gridStar(p) ++
+        Seq(Harness.recPart(p, symmetric = false), Harness.csIo(p), Harness.oneBucket(p))
     }
-    val star = Harness.gridStar(prep).get
-    val rec = Harness.recPart(prep, symmetric = false)
-    val cs = Harness.csIo(prep)
-    val ob = Harness.oneBucket(prep)
-
-    val lines =
-      gridRows.map { case (m, r) =>
-        f"Grid(x$m%5.1f)  I=${r.i}%9d Im=${r.im}%8d Om=${r.om}%8d predJT=${r.predicted}%12.0f" +
-          f" | paper jt=${paperJt(m)}%6.0f"
-      } ++ Seq(
-        f"Grid*       ${star.detail}%-12s I=${star.i}%9d Im=${star.im}%8d predJT=${star.predicted}%12.0f | paper: I=460 Im=16 jt=335",
-        f"RecPart-S   I=${rec.i}%9d Im=${rec.im}%8d predJT=${rec.predicted}%12.0f | paper: I=404 Im=15 jt=286",
-        f"CS_IO       I=${cs.i}%9d Im=${cs.im}%8d predJT=${cs.predicted}%12.0f | paper: I=652 Im=19 jt=459",
-        f"1-Bucket    I=${ob.i}%9d Im=${ob.im}%8d predJT=${ob.predicted}%12.0f | paper: I=2200 Im=73 jt=1236")
-    val bestGrid = gridRows.map(_._2.predicted).min
+    val bestGrid = rows.take(mults.size).map(_.predT).min
     val checks = Seq(
-      ("coarsening beats the default ε grid",
-        bestGrid < gridRows.find(_._1 == 1.0).get._2.predicted),
+      ("coarsening beats the default ε grid", bestGrid < get(rows, "Grid-eps").predT),
       ("Grid* finds a grid within 25% of the best swept grid",
-        star.predicted <= bestGrid * 1.25),
-      ("RecPart-S beats the best grid", rec.predicted <= bestGrid * 1.05))
-    prep.pairs.unpersist()
-    TableOutput("Table 5: Grid-ε grid-size sweep vs Grid*, pareto-1.5 d=3", lines, checks)
+        get(rows, "Grid*").predT <= bestGrid * 1.25),
+      ("RecPart-S beats the best grid", get(rows, "RecPart-S").predT <= bestGrid * 1.05))
+    TableOutput("Table 5: Grid-ε grid-size sweep vs Grid*, pareto-1.5 d=3", rows, checks)
   }
 
   // -------------------------------------------------------------------
@@ -65,41 +53,23 @@ object TablesSpecial {
   // -------------------------------------------------------------------
 
   def table6(spark: SparkSession): TableOutput = {
-    def run(label: String, mk: () => ExpConfig, paperRec: String, paperStar: String) = {
-      val prep = Harness.prepare(mk())
-      val rec = Harness.recPart(prep, symmetric = true)
-      val star = Harness.gridStar(prep).get
-      val line =
-        f"$label%-28s RecPart: I=${rec.i}%8d Im=${rec.im}%8d Om=${rec.om}%6d | " +
-          f"Grid* ${star.detail}%-12s I=${star.i}%8d Im=${star.im}%8d Om=${star.om}%6d" +
-          f" | paper RecPart: $paperRec | paper Grid*: $paperStar"
-      prep.pairs.unpersist()
-      (line, rec, star)
-    }
-    val (s20, t20) = paretoPair(spark, Scales.ParetoRows, 2.0, 3)
-    val epsP = Calibrate.epsForRatio(s20, t20, BandSynth.dims(3),
-      Array(1.0, 1.0, 1.0), 3200.0 / 400)
-    val r1 = run("pareto-2.0 bw~(2,2,2)", () => {
-      val (s, t) = paretoPair(spark, Scales.ParetoRows, 2.0, 3)
-      ExpConfig("t6-pareto2", s, t, BandSynth.dims(3), epsP, W)
-    }, "406/14/111", "grid 8: 497/17/130")
-    val r2 = run("rv-pareto-1.5 bw=(1K,1K,1K)", () => {
-      val (s, t) = rvPair(spark, Scales.ParetoRows, 1.5, 3)
-      ExpConfig("t6-rv1k", s, t, BandSynth.dims(3), BandSpec.uniform(3, 1000.0), W)
-    }, "400/13/0", "grid 2750: 882/237/0")
-    val r3 = run("rv-pareto-1.5 bw=(2K,2K,2K)", () => {
-      val (s, t) = rvPair(spark, Scales.ParetoRows, 1.5, 3)
-      ExpConfig("t6-rv2k", s, t, BandSynth.dims(3), BandSpec.uniform(3, 2000.0), W)
-    }, "401/13/0", "grid 11500: 1207/401/0")
+    def run(cfg: ExpConfig, paperRec: PaperNums, paperStar: PaperNums) =
+      Harness.run(cfg, Map("RecPart" -> paperRec, "Grid*" -> paperStar))(p =>
+        Harness.recPart(p, symmetric = true) +: Harness.gridStar(p).toSeq)
+    val r1 = run(pareto(spark, "pareto-2.0 bw~(2,2,2), paper Grid* size 8", 2.0, 3,
+      paretoEps(spark, 2.0, 3, 3200.0 / 400)), counts(406, 14, 111), counts(497, 17, 130))
+    val r2 = run(rvPareto(spark, "rv-pareto-1.5 bw=(1K,1K,1K), paper Grid* size 2750", 3,
+      BandSpec.uniform(3, 1000.0)), counts(400, 13, 0), counts(882, 237, 0))
+    val r3 = run(rvPareto(spark, "rv-pareto-1.5 bw=(2K,2K,2K), paper Grid* size 11500", 3,
+      BandSpec.uniform(3, 2000.0)), counts(401, 13, 0), counts(1207, 401, 0))
     val checks = Seq(
       ("rv-pareto 1K: RecPart Im at least 3x below Grid*'s",
-        r2._2.im.toDouble * 3 <= r2._3.im.toDouble),
+        get(r2, "RecPart").im.toDouble * 3 <= get(r2, "Grid*").im.toDouble),
       ("rv-pareto 2K: RecPart Im at least 3x below Grid*'s",
-        r3._2.im.toDouble * 3 <= r3._3.im.toDouble),
+        get(r3, "RecPart").im.toDouble * 3 <= get(r3, "Grid*").im.toDouble),
       ("pareto-2.0: Grid* is competitive on I (within 2x of RecPart)",
-        r1._3.i <= r1._2.i * 2))
-    TableOutput("Table 6: Grid* vs RecPart (reverse-Pareto breaks grids)",
-      Seq(r1._1, r2._1, r3._1), checks)
+        get(r1, "Grid*").i <= get(r1, "RecPart").i * 2))
+    TableOutput("Table 6: Grid* vs RecPart (reverse-Pareto breaks grids)", r1 ++ r2 ++ r3, checks)
   }
 
   // -------------------------------------------------------------------
@@ -107,41 +77,29 @@ object TablesSpecial {
   // -------------------------------------------------------------------
 
   def table7(spark: SparkSession): TableOutput = {
-    val (s15, t15) = paretoPair(spark, Scales.ParetoRows, 1.5, 3)
-    val eps = Calibrate.epsForRatio(s15, t15, BandSynth.dims(3),
-      Array(1.0, 1.0, 1.0), 1120.0 / 400)
-    val blockSizes = Seq(12500, 6000, 3000)
-    val rows = Seq(
-      ("z=1.5 bw=0", 1.5, BandSpec.uniform(3, 0.0),
-        "RecPart-S 401/14/0 vs IEJoin(12524) 726/25/0"),
-      ("z=1.5 bw~(2,2,2)", 1.5, eps,
-        "RecPart-S 404/15/29 vs IEJoin(7422) 1070/45/21"),
-      ("z=1.0 bw~(2,2,2)", 1.0, eps,
-        "RecPart-S 401/13/17 vs IEJoin(6263) 1080/37/26"),
-      ("z=0.5 bw~(2,2,2)", 0.5, eps,
-        "RecPart-S 401/13/0.3 vs IEJoin(8295) 796/17/2"))
-    val lines = scala.collection.mutable.ArrayBuffer.empty[String]
-    val checks = scala.collection.mutable.ArrayBuffer.empty[(String, Boolean)]
-    for ((label, z, band, paper) <- rows) {
-      val (s, t) = paretoPair(spark, Scales.ParetoRows, z, 3)
-      val prep = Harness.prepare(ExpConfig(label, s, t, BandSynth.dims(3), band, W))
-      val rec = Harness.recPart(prep, symmetric = false)
-      val ies = blockSizes.map(b => Harness.ieJoin(prep, b))
-      val bestIe = ies.minBy(_.predicted)
-      lines += f"--- $label | paper: $paper ---"
-      lines += f"  RecPart-S        I=${rec.i}%8d Im=${rec.im}%8d Om=${rec.om}%8d predJT=${rec.predicted}%12.0f"
-      ies.foreach { ie =>
-        lines += f"  ${ie.name}%-16s I=${ie.i}%8d Im=${ie.im}%8d Om=${ie.om}%8d predJT=${ie.predicted}%12.0f ${ie.detail}"
+    val eps = paretoEps(spark, 1.5, 3, 1120.0 / 400)
+    // The paper reports IEJoin at its best sizePerBlock (12524, 7422,
+    // 6263 and 8295 in these rows); those numbers sit on our nearest
+    // swept size.
+    val runs = Seq(
+      ("z=1.5 bw=0", 1.5, BandSpec.uniform(3, 0.0), counts(401, 14, 0),
+        "IEJoin(12500)" -> counts(726, 25, 0)),
+      ("z=1.5 bw~(2,2,2)", 1.5, eps, counts(404, 15, 29), "IEJoin(6000)" -> counts(1070, 45, 21)),
+      ("z=1.0 bw~(2,2,2)", 1.0, eps, counts(401, 13, 17), "IEJoin(6000)" -> counts(1080, 37, 26)),
+      ("z=0.5 bw~(2,2,2)", 0.5, eps, counts(401, 13, 0.3), "IEJoin(6000)" -> counts(796, 17, 2))
+    ).map { case (label, z, band, paperRec, paperIe) =>
+      val rows = Harness.run(pareto(spark, label, z, 3, band),
+          Map("RecPart-S" -> paperRec, paperIe)) { p =>
+        Harness.recPart(p, symmetric = false) +: Seq(12500, 6000, 3000).map(Harness.ieJoin(p, _))
       }
-      checks += ((s"$label: best IEJoin duplicates more input than RecPart-S",
-        bestIe.i > rec.i))
-      checks += ((s"$label: RecPart-S predicted time beats best IEJoin",
-        rec.predicted <= bestIe.predicted * 1.05))
-      prep.pairs.unpersist()
-      s.unpersist(); t.unpersist()
+      val (rec, bestIe) = (rows.head, rows.tail.minBy(_.predT))
+      (rows, Seq(
+        (s"$label: best IEJoin duplicates more input than RecPart-S", bestIe.i > rec.i),
+        (s"$label: RecPart-S predicted time beats best IEJoin",
+          rec.predT <= bestIe.predT * 1.05)))
     }
     TableOutput("Table 7/11: RecPart-S vs distributed IEJoin (pareto-z, d=3, w=30)",
-      lines.toSeq, checks.toSeq)
+      runs.flatMap(_._1), runs.flatMap(_._2))
   }
 
   // -------------------------------------------------------------------
@@ -149,35 +107,25 @@ object TablesSpecial {
   // -------------------------------------------------------------------
 
   def table8(spark: SparkSession): TableOutput = {
-    val (e, c) = ebirdCloud(spark)
-    val eps = Calibrate.epsForRatio(e, c, BandSynth.dims(3),
-      Array(10.0, 1.0, 1.0), 2134.0 / 890)
-    val prep = Harness.prepare(ExpConfig("table8", e, c, BandSynth.dims(3), eps, W))
-    val betas = Seq(1e-4, 1e-2, 1.0, 1e2, 1e4)
-    val recs = betas.map { b =>
-      (b, Harness.recPart(prep, symmetric = true,
-        model = CostModel.paperStyle(1.0, b)))
+    val betas = Seq("1e-4", "1e-2", "1", "1e2", "1e4")
+    // Table 2c's paper numbers for this instance; the RecPart entry there
+    // is RecPart-S at the default model, so it is left out.
+    val rows = Harness.run(
+        ebirdCloud(spark, "ebird-cloud bw~(2,2,2)", ebirdCloudEps(spark, 2134.0 / 890)),
+        Tables.ebirdCloud222Paper - "RecPart") { p =>
+      betas.map(b => Harness.recPart(p, symmetric = true,
+        model = CostModel.paperStyle(1.0, b.toDouble)).copy(name = s"RecPart(beta2=$b)")) ++
+        // competitors are β-independent (they ignore the model)
+        Seq(Harness.csIo(p), Harness.oneBucket(p)) ++ Harness.gridEps(p)
     }
-    // competitors are β-independent (they ignore the model)
-    val cs = Harness.csIo(prep); val ob = Harness.oneBucket(prep)
-    val ge = Harness.gridEps(prep).get
-    def lm(r: StrategyResult): Double = 4.0 * r.im + r.om
-    val lines = recs.map { case (b, r) =>
-      f"beta2=$b%8.4f  RecPart: I=${r.i}%8d Lm(4Im+Om)=${lm(r)}%12.0f"
-    } ++ Seq(
-      f"(any beta)    CS_IO:   I=${cs.i}%8d Lm=${lm(cs)}%12.0f | paper I=1830 Lm=502",
-      f"(any beta)    1-Bucket:I=${ob.i}%8d Lm=${lm(ob)}%12.0f | paper I=4832 Lm=711",
-      f"(any beta)    Grid-eps:I=${ge.i}%8d Lm=${lm(ge)}%12.0f | paper I=10800 Lm=1518",
-      "paper RecPart: I 890.34->890.8, Lm 289->189 as beta2 grows")
-    val first = recs.head._2; val last = recs.last._2
+    val (recs, others) = rows.splitAt(betas.size)
+    def lm(r: TableRow): Double = 4.0 * r.im + r.om
     val checks = Seq(
-      ("I is non-decreasing in beta2", last.i >= first.i),
-      ("Lm is non-increasing in beta2", lm(last) <= lm(first) + 1e-9),
-      ("RecPart's Lm beats every competitor at beta2=1",
-        lm(recs(2)._2) <= Seq(lm(cs), lm(ob), lm(ge)).min))
-    prep.pairs.unpersist()
-    TableOutput("Table 8/13: cost-ratio sensitivity, ebird join cloud, w=30",
-      lines, checks)
+      ("I is non-decreasing in beta2", recs.last.i >= recs.head.i),
+      ("Lm is non-increasing in beta2", lm(recs.last) <= lm(recs.head) + 1e-9),
+      ("RecPart's Lm beats every competitor at beta2=1", lm(recs(2)) <= others.map(lm).min))
+    TableOutput("Table 8/13: cost-ratio sensitivity, ebird join cloud, w=30 " +
+      "(paper RecPart: I 890.34 -> 890.8, Lm = 4Im+Om 289 -> 189 as beta2 grows)", rows, checks)
   }
 
   // -------------------------------------------------------------------
@@ -185,60 +133,37 @@ object TablesSpecial {
   // -------------------------------------------------------------------
 
   def table9(spark: SparkSession): TableOutput = {
-    val lines = scala.collection.mutable.ArrayBuffer.empty[String]
-    val checks = scala.collection.mutable.ArrayBuffer.empty[(String, Boolean)]
-    def run(label: String, mk: () => ExpConfig, paper: String,
-            expectSymWin: Boolean): Unit = {
-      val prep = Harness.prepare(mk())
+    def run(cfg: ExpConfig, paperS: PaperNums, paperSym: PaperNums, expectSymWin: Boolean) = {
       // Whether RecPart-S strands half the input depends on the draw, so
       // these rows run sample seeds 1-5, fixed here, and check the median.
-      val runs =
-        if (expectSymWin) (1 to 5).map(seed => (s"$label seed $seed", prep.withSampleSeed(seed)))
-        else Seq((label, prep))
-      val (asym, sym) = runs.map { case (tag, p) =>
-        val (a, b) = (Harness.recPart(p, symmetric = false), Harness.recPart(p, symmetric = true))
-        lines += f"$tag%-36s RecPart-S: I=${a.i}%8d Im=${a.im}%8d Om=${a.om}%7d" +
-          f" | RecPart: I=${b.i}%8d Im=${b.im}%8d Om=${b.om}%7d | paper: $paper"
-        (a, b)
-      }.unzip
-      def medianIm(rs: Seq[StrategyResult]): Long = rs.map(_.im).sorted.apply(rs.length / 2)
-      if (expectSymWin)
-        checks += ((s"$label: symmetric at least halves the median Im of sample seeds 1-5",
-          medianIm(sym) * 2 <= medianIm(asym)))
-      else
-        checks += ((s"$label: symmetric within 2x on predicted time",
-          sym.head.predicted <= asym.head.predicted * 2.0))
-      prep.pairs.unpersist()
-      prep.cfg.s.unpersist(); prep.cfg.t.unpersist()
+      val rows = Harness.run(cfg, Map("RecPart-S" -> paperS, "RecPart" -> paperSym)) { p =>
+        val preps = if (expectSymWin) (1 to 5).iterator.map(p.withSampleSeed(_)) else Iterator(p)
+        preps.flatMap(q => Seq(Harness.recPart(q, symmetric = false),
+          Harness.recPart(q, symmetric = true))).toSeq
+      }
+      val (asym, sym) = rows.partition(_.strategy == "RecPart-S")
+      def medianIm(rs: Seq[TableRow]): Long = rs.map(_.im).sorted.apply(rs.length / 2)
+      (rows,
+        if (expectSymWin)
+          (s"${cfg.label}: symmetric at least halves the median Im of sample seeds 1-5",
+            medianIm(sym) * 2 <= medianIm(asym))
+        else
+          (s"${cfg.label}: symmetric within 2x on predicted time",
+            sym.head.predT <= asym.head.predT * 2.0))
     }
-    val (s10, t10) = paretoPair(spark, Scales.ParetoRows, 1.0, 3)
-    val epsP = Calibrate.epsForRatio(s10, t10, BandSynth.dims(3),
-      Array(1.0, 1.0, 1.0), 420.0 / 400)
-    run("pareto-1.0 bw~(2,2,2)", () => {
-      val (s, t) = paretoPair(spark, Scales.ParetoRows, 1.0, 3)
-      ExpConfig("t9-p10", s, t, BandSynth.dims(3), epsP, W)
-    }, "S 401/13/17 vs 401/12/21", expectSymWin = false)
-    val (e, c) = ebirdCloud(spark)
-    val epsE = Calibrate.epsForRatio(e, c, BandSynth.dims(3),
-      Array(10.0, 1.0, 1.0), 2134.0 / 890)
-    run("ebird-cloud bw~(2,2,2)", () => {
-      val (s, t) = ebirdCloud(spark)
-      ExpConfig("t9-ec", s, t, BandSynth.dims(3), epsE, W)
-    }, "S 899/32/66 vs 891/31/67", expectSymWin = false)
-    run("rv-pareto-1.5 d=3 bw=(1K)^3", () => {
-      val (s, t) = rvPair(spark, Scales.ParetoRows, 1.5, 3)
-      ExpConfig("t9-rv1k", s, t, BandSynth.dims(3), BandSpec.uniform(3, 1000.0), W)
-    }, "S 452/143/0 vs 400/13/0", expectSymWin = true)
-    run("rv-pareto-1.5 d=3 bw=(2K)^3", () => {
-      val (s, t) = rvPair(spark, Scales.ParetoRows, 1.5, 3)
-      ExpConfig("t9-rv2k", s, t, BandSynth.dims(3), BandSpec.uniform(3, 2000.0), W)
-    }, "S 430/173/0 vs 401/13/0", expectSymWin = true)
-    run("rv-pareto-1.5 d=1 bw=1000", () => {
-      val (s, t) = rvPair(spark, Scales.ParetoRows, 1.5, 1)
-      ExpConfig("t9-rv1d", s, t, BandSynth.dims(1), BandSpec(Array(1000.0)), W)
-    }, "S 402/200/0 vs 402/14/0", expectSymWin = true)
+    val runs = Seq(
+      run(pareto(spark, "pareto-1.0 bw~(2,2,2)", 1.0, 3, paretoEps(spark, 1.0, 3, 420.0 / 400)),
+        counts(401, 13, 17), counts(401, 12, 21), expectSymWin = false),
+      run(ebirdCloud(spark, "ebird-cloud bw~(2,2,2)", ebirdCloudEps(spark, 2134.0 / 890)),
+        counts(899, 32, 66), counts(891, 31, 67), expectSymWin = false),
+      run(rvPareto(spark, "rv-pareto-1.5 d=3 bw=(1K)^3", 3, BandSpec.uniform(3, 1000.0)),
+        counts(452, 143, 0), counts(400, 13, 0), expectSymWin = true),
+      run(rvPareto(spark, "rv-pareto-1.5 d=3 bw=(2K)^3", 3, BandSpec.uniform(3, 2000.0)),
+        counts(430, 173, 0), counts(401, 13, 0), expectSymWin = true),
+      run(rvPareto(spark, "rv-pareto-1.5 d=1 bw=1000", 1, BandSpec(Array(1000.0))),
+        counts(402, 200, 0), counts(402, 14, 0), expectSymWin = true))
     TableOutput("Table 9/14: RecPart-S vs RecPart (symmetric partitioning)",
-      lines.toSeq, checks.toSeq)
+      runs.flatMap(_._1), runs.map(_._2))
   }
 
   // -------------------------------------------------------------------
@@ -258,7 +183,9 @@ object TablesSpecial {
       (s, t, BandSynth.dims(d), eps)
     }
     def measure(s: org.apache.spark.sql.DataFrame, t: org.apache.spark.sql.DataFrame,
-                dims: Seq[String], band: BandSpec, part: BandPartitioning) = {
+                dims: Seq[String], band: BandSpec, strategy: String, wk: Int) = {
+      val part: BandPartitioning =
+        if (strategy == "1-Bucket") OneBucket.forWorkers(wk) else GridEps(band, wk)
       val pairs = BandJoinExec.pairs(s, t, dims, band, part)
       val t0 = System.nanoTime()
       pairs.count()
@@ -273,12 +200,10 @@ object TablesSpecial {
     val calib = for {
       rows <- Seq(60000L, 120000L)
       ratio <- Seq(1.0, 6.0)
-      (strat, wk) <- Seq(("1b", 4), ("1b", 16), ("grid", w))
+      (strategy, wk) <- Seq(("1-Bucket", 4), ("1-Bucket", 16), ("Grid-eps", w))
     } yield {
       val (s, t, dims, band) = instance(rows, 1, ratio, 100 + rows.toInt % 97)
-      val part: BandPartitioning =
-        if (strat == "1b") OneBucket.forWorkers(wk) else GridEps(band, wk)
-      val (m, ms) = measure(s, t, dims, band, part)
+      val (m, ms) = measure(s, t, dims, band, strategy, wk)
       s.unpersist(); t.unpersist()
       (m, ms)
     }
@@ -293,30 +218,25 @@ object TablesSpecial {
     val evals = for {
       (rows, d, ratio) <- Seq((100000L, 1, 3.0), (80000L, 3, 2.0), (40000L, 3, 0.5),
         (150000L, 1, 8.0))
-      strat <- Seq("1b", "grid")
+      strategy <- Seq("1-Bucket", "Grid-eps")
     } yield {
       val (s, t, dims, band) = instance(rows, d, ratio, 500 + d * 13)
-      val part: BandPartitioning =
-        if (strat == "1b") OneBucket.forWorkers(w) else GridEps(band, w)
-      val (m, ms) = measure(s, t, dims, band, part)
+      val (m, ms) = measure(s, t, dims, band, strategy, w)
       s.unpersist(); t.unpersist()
       val pred = model.predict(m.i.toDouble, m.im.toDouble, m.om.toDouble)
-      val err = (pred - ms) / ms
-      (s"rows=$rows d=$d ratio=$ratio $strat", pred, ms, err)
+      (TableRow.of(s"rows=$rows d=$d ratio=$ratio", strategy, band, w, None, m, None,
+        Timing(joinMs = Some(ms), fitMs = Some(pred))), math.abs((pred - ms) / ms))
     }
-    val lines =
-      f"calibrated: M = ${b(0)}%.1f + ${b(1)}%.6f*I + ${b(2)}%.6f*Im + ${b(3)}%.6f*Om  [ms, tuples]" +:
-        evals.map { case (l, p, a, e) =>
-          f"$l%-28s predicted=${p}%9.0fms actual=${a}%9.0fms err=${e * 100}%7.1f%%"
-        } :+ "paper: <20% error in over 70% of cases, never off by more than 1.8x"
-    val absErrs = evals.map(e => math.abs(e._4)).sorted
+    val absErrs = evals.map(_._2).sorted
     val median = absErrs(absErrs.size / 2)
     val checks = Seq(
       ("median relative error below 60%", median < 0.6),
       ("all coefficients non-negative directionality (I, Im terms)",
         b(1) > -1e-6 || b(2) > 0))
-    TableOutput("Table 12: running-time model accuracy (local calibration)",
-      lines, checks)
+    TableOutput("Table 12: running-time model accuracy (local calibration: " +
+      f"M = ${b(0)}%.1f + ${b(1)}%.6f*I + ${b(2)}%.6f*Im + ${b(3)}%.6f*Om ms; " +
+      "paper: <20% error in over 70% of cases, never off by more than 1.8x)",
+      evals.map(_._1), checks)
   }
 
   // -------------------------------------------------------------------
@@ -324,35 +244,26 @@ object TablesSpecial {
   // -------------------------------------------------------------------
 
   def table16(spark: SparkSession): TableOutput = {
-    val lines = scala.collection.mutable.ArrayBuffer.empty[String]
-    val checks = scala.collection.mutable.ArrayBuffer.empty[(String, Boolean)]
-    val configs = Seq(
-      ("1 arcsec", 876.0 / 1198, "RecPart 1198/39.98/29.08 CS 1488/60/32 1B 6589/220/29 Grid 5990/200/29"),
-      ("3 arcsec", 1125.0 / 1198, "RecPart 1198/40.25/36.39 CS 1508/60/41 1B 6589/221/38 Grid 5990/200/38"))
-    for ((label, ratio, paper) <- configs) {
-      val s = BandSynth.ptf(spark, Scales.PtfRows, seed = 21)
-      val t = BandSynth.ptf(spark, Scales.PtfRows, seed = 22)
-      val eps = Calibrate.epsForRatio(s, t, BandSynth.dims(2),
-        Array(1.0, 1.0), ratio)
-      val prep = Harness.prepare(ExpConfig(s"t16-$label", s, t,
-        BandSynth.dims(2), eps, W))
-      val rec = Harness.recPart(prep, symmetric = true,
-        termination = Termination.Theoretical)
-      val cs = Harness.csIo(prep)
-      val ob = Harness.oneBucket(prep)
-      val ge = Harness.gridEps(prep).get
-      lines += f"--- ptf $label (eps=${eps.eps(0)}%.2e) | paper: $paper ---"
-      for (r <- Seq(rec, cs, ob, ge))
-        lines += f"  ${r.name}%-10s I=${r.i}%8d Im=${r.im}%8d Om=${r.om}%8d " +
-          f"dupOH=${r.m.dupOverhead}%6.3f loadOH=${r.m.loadOverhead}%6.3f"
-      checks += ((s"ptf $label: RecPart near both lower bounds",
-        rec.m.dupOverhead <= 0.25 && rec.m.loadOverhead <= 0.25))
-      checks += ((s"ptf $label: RecPart beats all on I and Im",
-        Seq(cs, ob, ge).forall(r => rec.i <= r.i && rec.im <= r.im)))
-      prep.pairs.unpersist()
-      s.unpersist(); t.unpersist()
+    val runs = Seq(
+      ("1 arcsec", 876.0 / 1198, Map(
+        "RecPart" -> counts(1198, 39.98, 29.08), "CS_IO" -> counts(1488, 60, 32),
+        "1-Bucket" -> counts(6589, 220, 29), "Grid-eps" -> counts(5990, 200, 29))),
+      ("3 arcsec", 1125.0 / 1198, Map(
+        "RecPart" -> counts(1198, 40.25, 36.39), "CS_IO" -> counts(1508, 60, 41),
+        "1-Bucket" -> counts(6589, 221, 38), "Grid-eps" -> counts(5990, 200, 38)))
+    ).map { case (label, ratio, paper) =>
+      val rows = Harness.run(ptf(spark, s"ptf $label", ptfEps(spark, ratio)), paper) { p =>
+        Seq(Harness.recPart(p, symmetric = true, termination = Termination.Theoretical),
+          Harness.csIo(p), Harness.oneBucket(p)) ++ Harness.gridEps(p)
+      }
+      val rec = rows.head
+      (rows, Seq(
+        (s"ptf $label: RecPart near both lower bounds",
+          rec.dupOH <= 0.25 && rec.loadOH <= 0.25),
+        (s"ptf $label: RecPart beats all on I and Im",
+          rows.tail.forall(r => rec.i <= r.i && rec.im <= r.im))))
     }
     TableOutput("Table 16: theoretical termination, ptf_objects d=2",
-      lines.toSeq, checks.toSeq)
+      runs.flatMap(_._1), runs.flatMap(_._2))
   }
 }

@@ -52,6 +52,8 @@ object SparkSpec {
       .config("spark.sql.shuffle.partitions",
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      // Fixed as in RunTables: generated inputs and samples follow it.
+      .config("spark.default.parallelism", 4)
       .getOrCreate()
     s.sparkContext.setLogLevel("WARN")
     // One line in test output that tells the driver whether the cgroup

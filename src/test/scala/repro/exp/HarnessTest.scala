@@ -1,5 +1,7 @@
 package repro.exp
 
+import org.apache.spark.sql.Dataset
+import org.apache.spark.storage.StorageLevel
 import repro.{SparkSpec, TestData}
 import repro.core._
 
@@ -50,5 +52,35 @@ class HarnessTest extends SparkSpec {
     val r = Harness.ieJoin(prep, sizePerBlock = 100)
     assert(r.m.i >= r.m.inputLowerBound)
     assert(r.name.contains("100"))
+  }
+
+  test("run unpersists S, T and the pair set when it returns and when a strategy throws") {
+    def cfg(seed: Int) = ExpConfig("leak", TestData.randomDf(spark, 200, 1, seed),
+      TestData.randomDf(spark, 200, 1, seed + 1), Seq("a1"), BandSpec(Array(0.2)), w = 4,
+      kIn = 200, kOut = 200)
+    def assertReleased(c: ExpConfig, pairs: Dataset[PairRow]): Unit =
+      for ((name, ds) <- Seq(("S", c.s), ("T", c.t), ("pairs", pairs)))
+        assert(ds.storageLevel == StorageLevel.NONE, s"$name still cached")
+
+    val ok = cfg(5)
+    var pairs: Dataset[PairRow] = null
+    val rows = Harness.run(ok) { p =>
+      pairs = p.pairs
+      assert(Seq(ok.s, ok.t, pairs).forall(_.storageLevel != StorageLevel.NONE))
+      Seq(Harness.recPart(p, symmetric = true), Harness.oneBucket(p))
+    }
+    assert(rows.map(_.strategy) == Seq("RecPart", "1-Bucket"))
+    assert(rows.map(_.rel) == Seq(Some(1.0), Some(rows(1).predT / rows(0).predT)))
+    assertReleased(ok, pairs)
+
+    val failing = cfg(7)
+    val e = intercept[IllegalStateException] {
+      Harness.run(failing) { p =>
+        pairs = p.pairs
+        throw new IllegalStateException("strategy failed")
+      }
+    }
+    assert(e.getMessage == "strategy failed")
+    assertReleased(failing, pairs)
   }
 }
