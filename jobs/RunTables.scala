@@ -1,5 +1,7 @@
 package repro.jobs
 
+import java.io.{FileDescriptor, FileOutputStream, PrintStream}
+import java.nio.charset.StandardCharsets.UTF_8
 import org.apache.spark.sql.SparkSession
 import repro.exp.PaperTables
 
@@ -26,11 +28,14 @@ object RunTables {
       .config("spark.default.parallelism", 4)
       .getOrCreate()
     spark.sparkContext.setLogLevel("WARN")
-    val failed = ids.flatMap { id =>
+    // Table text is not ASCII (Grid-ε); the default stdout charset follows
+    // the locale and prints it as '?' under POSIX.
+    val stdout = new PrintStream(new FileOutputStream(FileDescriptor.out), true, UTF_8)
+    val failed = Console.withOut(stdout)(ids.flatMap { id =>
       val out = PaperTables.all(id)(spark)
       out.emit()
       out.failed
-    }
+    })
     if (failed.nonEmpty) sys.exit(1)
   }
 }

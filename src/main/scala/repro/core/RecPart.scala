@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 /** Which rule ends the repeat-loop of Algorithm 1 (§4.2). */
@@ -81,14 +80,6 @@ object RecPart {
   /** A leaf's best split with its ΔVar and ranking score ΔVar/ΔDup. */
   private final case class Candidate(score: Double, dVar: Double, split: Split)
 
-  // Mutable tree: a Slot owns the current node so a leaf can be replaced
-  // in place when it is split.
-  private final class Slot { var node: MNode = null }
-  sealed private trait MNode
-  private final class MInner(val dim: Int, val x: Double, val duplicateT: Boolean,
-                             val left: Slot, val right: Slot) extends MNode
-  private final class MLeaf(val leaf: Leaf) extends MNode
-
   /** One side of a leaf's sample, sorted on each dimension once at the
     * root; children inherit the order through stable filters (SLIQ /
     * SPRINT attribute lists). `pts(dim)`: the side's points ascending on
@@ -109,16 +100,22 @@ object RecPart {
         pairs.map(_.filter(_.x(c) >= x)), off))
   }
 
-  private final class Leaf(val id: Int, var slot: Slot, val region: Region,
-                           val s: Side, val t: Side) {
+  /** A node of the split tree. It is a leaf of the partitioning, with an
+    * internal `r × c` 1-Bucket grid, until it is split; it then records the
+    * split and its two children and is the inner node over them.
+    */
+  private final class Leaf(val id: Int, val region: Region, val s: Side, val t: Side) {
     var r: Int = 1
     var c: Int = 1
-    var stamp: Int = 0
     var best: Option[Candidate] = None
+    var children: Option[(RegularSplit, Leaf, Leaf)] = None
 
     val sW: Double = s.weight
     val tW: Double = t.weight
     val oW: Double = s.pairs(0).iterator.map(_.weight).sum
+
+    /** The best split's score; 0 without one. */
+    def score: Double = best.fold(0.0)(_.score)
 
     /** Σ l² over the rr·cc internal 1-Bucket sub-partitions. */
     def sumSq(rr: Int, cc: Int, lm: LoadModel): Double = {
@@ -136,9 +133,6 @@ object RecPart {
     }
   }
 
-  private final case class QE(score: Double, leafId: Int, stamp: Int)
-  private val qeOrd: Ordering[QE] = Ordering.by((q: QE) => (q.score, -q.leafId))
-
   /** Run the optimizer on a drawn sample (Algorithm 1). The tree grows
     * once; whenever an iteration's objective beats every earlier one,
     * the tree is materialized, so the winner is the earliest iteration
@@ -150,82 +144,63 @@ object RecPart {
   def optimize(sample: JoinSample, rootRegion: Region, band: BandSpec,
                cfg: RecPartConfig): RecPartResult = {
     val t0 = System.nanoTime()
-    val rootSlot = new Slot
+    val k = variancePrefactor(cfg.w)
+    val minDup = dupFloor(sample)
+    // The live leaves in the order they were made: Algorithm 1's queue.
+    val live = ArrayBuffer.empty[Leaf]
     var nextId = 0
-    val leaves = mutable.LinkedHashMap.empty[Int, Leaf]
-
-    def newLeaf(slot: Slot, region: Region, s: Side, t: Side): Leaf = {
-      val l = new Leaf(nextId, slot, region, s, t)
+    def rescore(l: Leaf): Unit = l.best = bestSplit(l, band, cfg, k, minDup)
+    def newLeaf(region: Region, s: Side, t: Side): Leaf = {
+      val l = new Leaf(nextId, region, s, t)
       nextId += 1
-      slot.node = new MLeaf(l)
-      leaves(l.id) = l
+      rescore(l)
+      live += l
       l
     }
 
-    val k = variancePrefactor(cfg.w)
-    val minDup = dupFloor(sample)
-    val pq = mutable.PriorityQueue.empty[QE](qeOrd)
-
-    def rescore(l: Leaf): Unit = {
-      l.stamp += 1
-      l.best = bestSplit(l, band, cfg, k, minDup)
-      l.best.foreach(b => if (b.score > 0) pq.enqueue(QE(b.score, l.id, l.stamp)))
-    }
     val joined = sample.pairs.map(p => WPoint(p.s ++ p.t, p.weight))
     def rootSide(pts: Array[WPoint], off: Int) = new Side( // the only sorts; stable
       Array.tabulate(band.d)(dim => pts.sortBy(_.x(dim))),
       Array.tabulate(band.d)(dim => joined.sortBy(_.x(off + dim))), off)
-    rescore(newLeaf(rootSlot, rootRegion, rootSide(sample.sPoints, 0),
-      rootSide(sample.tPoints, band.d)))
+    val root = newLeaf(rootRegion, rootSide(sample.sPoints, 0), rootSide(sample.tPoints, band.d))
 
     val input0 = (sample.sCount + sample.tCount).toDouble
     val l0 = cfg.costModel.loadModel.lowerBound(sample.sCount.toDouble, sample.tCount.toDouble,
       sample.outputEstimate, cfg.w)
     val traj = Vector.newBuilder[IterStats]
-    var stats = snapshot(leaves.values, input0, l0, cfg, 0)
+    var stats = snapshot(live, input0, l0, cfg, 0)
     traj += stats
     var best = stats
-    var bestPart = materialize(rootSlot, band, cfg)
+    var bestPart = materialize(root, band, cfg)
     var minLoadOH = stats.loadOverhead
     val cap = math.max(12 * cfg.w, 80) // repeat-loop iteration cap
 
     var done = false
-    while (!done) {
-      // Pop the highest-scoring live leaf (Algorithm 1 line 6).
-      var picked: Option[Leaf] = None
-      while (picked.isEmpty && pq.nonEmpty) {
-        val qe = pq.dequeue()
-        leaves.get(qe.leafId) match {
-          case Some(l) if l.stamp == qe.stamp && l.best.exists(_.score > 0) => picked = Some(l)
-          case _ => // stale entry
+    // Split the live leaf with the highest positive score (Algorithm 1
+    // line 6); `live` is in the order leaves were made, so a tie goes to
+    // the leaf made first.
+    while (!done) live.iterator.filter(_.score > 0).maxByOption(_.score) match {
+      case None => done = true
+      case Some(leaf) =>
+        leaf.best.get.split match {
+          case sp: RegularSplit => live -= leaf; applyRegular(leaf, sp, band, newLeaf)
+          case IncRow => leaf.r += 1; rescore(leaf)
+          case IncCol => leaf.c += 1; rescore(leaf)
         }
-      }
-      picked match {
-        case None => done = true
-        case Some(leaf) =>
-          leaf.best.get.split match {
-            case RegularSplit(dim, x, dupT) =>
-              val (l, r) = applyRegular(leaf, dim, x, dupT, band, newLeaf)
-              leaves.remove(leaf.id)
-              rescore(l); rescore(r)
-            case IncRow => leaf.r += 1; rescore(leaf)
-            case IncCol => leaf.c += 1; rescore(leaf)
-          }
-          stats = snapshot(leaves.values, input0, l0, cfg, stats.iter + 1)
-          traj += stats
-          // Double.compare is a total order (NaN last); strict, so ties
-          // keep the earlier iteration.
-          if (java.lang.Double.compare(stats.objective, best.objective) < 0) {
-            best = stats
-            bestPart = materialize(rootSlot, band, cfg)
-          }
-          if (stats.loadOverhead < minLoadOH) minLoadOH = stats.loadOverhead
-          // Duplication only grows; under the theoretical rule, once it
-          // exceeds the best load overhead seen, no later iteration can
-          // win. The applied rule runs to the cap (DESIGN.md §6).
-          done = stats.iter >= cap || (cfg.termination == Termination.Theoretical &&
-            stats.dupOverhead > minLoadOH)
-      }
+        stats = snapshot(live, input0, l0, cfg, stats.iter + 1)
+        traj += stats
+        // Double.compare is a total order (NaN last); strict, so ties
+        // keep the earlier iteration.
+        if (java.lang.Double.compare(stats.objective, best.objective) < 0) {
+          best = stats
+          bestPart = materialize(root, band, cfg)
+        }
+        if (stats.loadOverhead < minLoadOH) minLoadOH = stats.loadOverhead
+        // Duplication only grows; under the theoretical rule, once it
+        // exceeds the best load overhead seen, no later iteration can
+        // win. The applied rule runs to the cap (DESIGN.md §6).
+        done = stats.iter >= cap || (cfg.termination == Termination.Theoretical &&
+          stats.dupOverhead > minLoadOH)
     }
     val trajectory = traj.result()
     RecPartResult(bestPart, trajectory.size - 1, best.iter,
@@ -246,19 +221,16 @@ object RecPart {
   /** `(w-1)/w²` — the prefactor of `V[P] = (w-1)/w² Σ l_p²` (§4.2). */
   def variancePrefactor(w: Int): Double = (w - 1).toDouble / (w.toDouble * w)
 
-  /** Replace `leaf` by an inner node and return its two new children. */
-  private def applyRegular(
-      leaf: Leaf, dim: Int, x: Double, duplicateT: Boolean, band: BandSpec,
-      newLeaf: (Slot, Region, Side, Side) => Leaf): (Leaf, Leaf) = {
+  /** Split `leaf` at `sp`: it becomes the inner node over two new leaves. */
+  private def applyRegular(leaf: Leaf, sp: RegularSplit, band: BandSpec,
+                           newLeaf: (Region, Side, Side) => Leaf): Unit = {
+    val RegularSplit(dim, x, duplicateT) = sp
     val e = band.eps(dim)
     val c = (if (duplicateT) leaf.s else leaf.t).off + dim
     val (sL, sR) = leaf.s.split(dim, x, if (duplicateT) 0.0 else e, c)
     val (tL, tR) = leaf.t.split(dim, x, if (duplicateT) e else 0.0, c)
     val (regL, regR) = leaf.region.split(dim, x)
-    val ls = new Slot; val rs = new Slot
-    leaf.slot.node = new MInner(dim, x, duplicateT, ls, rs)
-    val childL = newLeaf(ls, regL, sL, tL)
-    (childL, newLeaf(rs, regR, sR, tR))
+    leaf.children = Some((sp, newLeaf(regL, sL, tL), newLeaf(regR, sR, tR)))
   }
 
   // ---------------------------------------------------------------------
@@ -436,20 +408,19 @@ object RecPart {
       predicted, objective)
   }
 
-  private def materialize(rootSlot: Slot, band: BandSpec, cfg: RecPartConfig): TreePartitioning = {
+  private def materialize(root: Leaf, band: BandSpec, cfg: RecPartConfig): TreePartitioning = {
     val in = ArrayBuffer.empty[Double]
     val out = ArrayBuffer.empty[Double]
-    def build(slot: Slot): SplitNode = slot.node match {
-      case inner: MInner =>
-        InnerNode(inner.dim, inner.x, inner.duplicateT, build(inner.left), build(inner.right))
-      case ml: MLeaf =>
-        val l = ml.leaf
+    def build(l: Leaf): SplitNode = l.children match {
+      case Some((RegularSplit(dim, x, dupT), left, right)) =>
+        InnerNode(dim, x, dupT, build(left), build(right))
+      case None =>
         val node = LeafNode(l.id, l.r, l.c, in.length)
         l.addSubs(in, out)
         node
     }
-    val root = build(rootSlot)
+    val tree = build(root)
     val pidWorker = Lpt.schedule(in.toArray, out.toArray, cfg.w, cfg.costModel.loadModel).worker
-    TreePartitioning(root, band, pidWorker, cfg.w)
+    TreePartitioning(tree, band, pidWorker, cfg.w)
   }
 }

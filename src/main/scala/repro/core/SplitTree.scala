@@ -54,8 +54,10 @@ object SplitTree {
   /** A tuple at v, copied within `reach` of a split at x, goes left (`A_dim < x`). */
   def reachesLeft(v: Double, x: Double, reach: Double): Boolean = v - reach < x
 
-  /** A tuple at v, copied within `reach` of a split at x, goes right. */
-  def reachesRight(v: Double, x: Double, reach: Double): Boolean = v + reach >= x
+  /** A tuple at v, copied within `reach` of a split at x, goes right; so
+    * does NaN, as at a split that partitions its side (`A_dim < x` fails).
+    */
+  def reachesRight(v: Double, x: Double, reach: Double): Boolean = !(v + reach < x)
 
   /** Algorithm 3 for an S-tuple. */
   def assignS(root: SplitNode, band: BandSpec, x: Array[Double], salt: Long): Array[Int] =

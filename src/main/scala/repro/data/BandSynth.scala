@@ -4,7 +4,7 @@ import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** Synthetic inputs for the band-join experiments (§6.1 "Data"),
-  * down-scaled ×1/1000 in cardinality (see DESIGN.md §3). Every
+  * down-scaled ×1/2000 in cardinality (see DESIGN.md §3). Every
   * generator is deterministic in (rows, seed) and returns a DataFrame
   * with a unique long `id` plus double join-attribute columns a1..ad.
   */
@@ -93,8 +93,8 @@ object BandSynth {
     * seeds share the same object population, so a band-join at arcsecond
     * scale finds repeat observations.
     */
-  def ptf(spark: SparkSession, rows: Long, seed: Long, objects: Long = 0): DataFrame = {
-    val nObj = if (objects > 0) objects else math.max(1L, rows / 3)
+  def ptf(spark: SparkSession, rows: Long, seed: Long): DataFrame = {
+    val nObj = math.max(1L, rows / 3)
     val base = spark.range(rows)
     val o = floor(rand(7) * nObj) // seed fixed: object population shared across tables
     val ra = hash01(o, 3.0) * 360.0

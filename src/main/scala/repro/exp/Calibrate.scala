@@ -12,6 +12,9 @@ import repro.core._
   */
 object Calibrate {
 
+  /** Input sample size per side for the band-width searches. */
+  private val SampleSize = 4000
+
   /** Estimated |S ⋈ T| for band `m · base`, from input samples. */
   def outputEstimate(sPts: Array[WPoint], sCount: Long,
                      tPts: Array[WPoint], tCount: Long,
@@ -25,11 +28,10 @@ object Calibrate {
     * Output is monotone in m, so geometric bisection converges.
     */
   def epsForRatio(s: DataFrame, t: DataFrame, dims: Seq[String],
-                  base: Array[Double], targetRatio: Double,
-                  kIn: Int = 4000, seed: Long = 11): BandSpec = {
+                  base: Array[Double], targetRatio: Double): BandSpec = {
     require(targetRatio > 0)
-    val (sp, sc) = Samples.samplePoints(s, dims, kIn, seed)
-    val (tp, tc) = Samples.samplePoints(t, dims, kIn, seed + 1)
+    val (sp, sc) = Samples.samplePoints(s, dims, SampleSize, 11)
+    val (tp, tc) = Samples.samplePoints(t, dims, SampleSize, 12)
     val target = targetRatio * (sc + tc)
     var lo = 1e-12
     var hi = 1e-12
@@ -57,13 +59,12 @@ object Calibrate {
     * inputs). Band widths δ, 2δ, 3δ then mirror the paper's 1e-5 steps.
     */
   def quantizeForEquiRatio(spark: org.apache.spark.sql.SparkSession,
-                           z: Double, rowsPerInput: Long, targetRatio: Double,
-                           kIn: Int = 4000, seed: Long = 13): Double = {
+                           z: Double, rowsPerInput: Long, targetRatio: Double): Double = {
     import repro.data.BandSynth
-    val s = BandSynth.pareto(spark, rowsPerInput, z, 1, seed)
-    val t = BandSynth.pareto(spark, rowsPerInput, z, 1, seed + 100)
-    val (sp, sc) = Samples.samplePoints(s, Seq("a1"), kIn, seed + 1)
-    val (tp, tc) = Samples.samplePoints(t, Seq("a1"), kIn, seed + 2)
+    val s = BandSynth.pareto(spark, rowsPerInput, z, 1, 13)
+    val t = BandSynth.pareto(spark, rowsPerInput, z, 1, 113)
+    val (sp, sc) = Samples.samplePoints(s, Seq("a1"), SampleSize, 14)
+    val (tp, tc) = Samples.samplePoints(t, Seq("a1"), SampleSize, 15)
     val target = targetRatio * (sc + tc)
     def est(q: Double): Double = {
       val qs = sp.map(p => Array(math.round(p.x(0) / q) * q))

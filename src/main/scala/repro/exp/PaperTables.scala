@@ -106,7 +106,7 @@ final case class TableOutput(title: String, rows: Seq[TableRow],
 
 /** Every reproduced table of the evaluation section, by id, in the
   * paper's order, and the data families they draw their instances from.
-  * The `jobs/` main and the bench suite both run tables from here.
+  * `RunTables` in `jobs/` runs tables from here.
   */
 object PaperTables {
 

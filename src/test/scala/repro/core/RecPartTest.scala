@@ -240,6 +240,25 @@ class RecPartTest extends AnyFunSuite {
       IterStats(20, 14, 930.9000000000002, 74.40000000000003, 1184.6250000000018,
         1482.225000000002, 0.7630681818181823, 0.14072881660295983, 2413.1250000000023,
         2413.1250000000023))
+
+    // A score tie: the root splits between two translated copies of one
+    // integer-lattice cluster, so its children 1 and 2 score exactly
+    // equal. The child made first splits first (into 3 and 4, before 2
+    // into 5 and 6), and so on down; the winner is iteration 5 of 80.
+    val rndE = new scala.util.Random(5)
+    def twoCopies() = {
+      val c = Seq.fill(30)(Array.fill(2)(rndE.nextInt(8).toDouble))
+      c ++ c.map(p => Array(p(0) + 100, p(1)))
+    }
+    check(twoCopies(), twoCopies(), BandSpec(Array(1.0, 1.0)), RecPartConfig(4, symmetric = false))(
+      InnerNode(0, 53.5, true,
+        InnerNode(0, 2.5, true, LeafNode(3, 1, 1, 0),
+          InnerNode(1, 1.5, true, LeafNode(7, 1, 1, 1), LeafNode(8, 1, 1, 2))),
+        InnerNode(0, 102.5, true, LeafNode(5, 1, 1, 3),
+          InnerNode(1, 1.5, true, LeafNode(9, 1, 1, 4), LeafNode(10, 1, 1, 5)))),
+      Seq(2, 2, 0, 3, 3, 1), 5,
+      IterStats(5, 6, 130.0, 36.0, 48.0, 192.0, 0.08333333333333333, 0.1394658753709199,
+        322.0, 322.0))
   }
 
   test("the chosen estimate of I equals the weighted input the partitioning routes") {

@@ -150,6 +150,20 @@ class SplitTreeTest extends AnyFunSuite {
     }, minTests = 40)
   }
 
+  test("property: tuples with NaN coordinates reach a partition at S- and T-splits") {
+    Props.hold(Prop.forAll(Gen.choose(0L, 10000L)) { seed =>
+      val rnd = new scala.util.Random(seed)
+      val band = BandSpec(Array(1.0, 0.0, 2.0))
+      val p = treePartitioning(randomTree(5, 3, rnd, 2), band, 6)
+      def withNaN(pts: Seq[(Long, Array[Double])]) =
+        pts.map { case (id, x) => (id, x.map(v => if (rnd.nextInt(3) == 0) Double.NaN else v)) }
+      val s = withNaN(PartitionLaws.cloud(20, 3, seed + 1))
+      val t = withNaN(PartitionLaws.cloud(20, 3, seed + 2))
+      PartitionLaws.checkAll(p, band, s, t)
+      true
+    }, minTests = 40)
+  }
+
   test("property: exactly-once with skewed data and zero band width") {
     Props.hold(Prop.forAll(Gen.choose(0L, 10000L)) { seed =>
       val rnd = new scala.util.Random(seed)
