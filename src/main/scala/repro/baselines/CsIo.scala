@@ -64,7 +64,16 @@ object CsIo {
     }.toArray
   }
 
-  private[baselines] final case class RangeStats(count: Long, lo: Array[Double], hi: Array[Double])
+  /** The exact row count and bounding box of one quantile range. `box`
+    * is lo ++ hi, folded by `Region.widen`; it stays `Region.noBounds`
+    * while the range is empty.
+    */
+  private[baselines] final class RangeStats(d: Int) extends Serializable {
+    var count = 0L
+    val box: Array[Double] = Region.noBounds(d)
+    def lo(i: Int): Double = box(i)
+    def hi(i: Int): Double = box(d + i)
+  }
 
   /** Exact count + bounding box per quantile range: `gS` ranges of S by
     * `sBounds` and `gT` ranges of T by `tBounds`, from one Spark job
@@ -75,34 +84,40 @@ object CsIo {
       sBounds: Array[Array[Double]], gS: Int,
       tBounds: Array[Array[Double]], gT: Int): (Array[RangeStats], Array[RangeStats]) = {
     val d = dims.length
-    def add(a: RangeStats, b: RangeStats): RangeStats = RangeStats(a.count + b.count,
-      Array.tabulate(d)(i => if (b.lo(i) < a.lo(i)) b.lo(i) else a.lo(i)),
-      Array.tabulate(d)(i => if (b.hi(i) > a.hi(i)) b.hi(i) else a.hi(i)))
-    val empty = RangeStats(0L, Array.fill(d)(Double.PositiveInfinity),
-      Array.fill(d)(Double.NegativeInfinity))
     val bounds = Array(sBounds, tBounds)
     def points(df: DataFrame, side: Int) =
       BandJoinExec.tuples(df, dims).map { case (_, x) => (side, x) }
     val stats = points(s, 0).union(points(t, 1))
-      .aggregate(Array(Array.fill(gS)(empty), Array.fill(gT)(empty)))(
+      .aggregate(Array(Array.fill(gS)(new RangeStats(d)), Array.fill(gT)(new RangeStats(d))))(
         { case (acc, (side, x)) =>
-          val k = rangeOf(bounds(side), x)
-          acc(side)(k) = add(acc(side)(k), RangeStats(1L, x, x))
+          val r = acc(side)(rangeOf(bounds(side), x))
+          r.count += 1
+          for (i <- 0 until d) Region.widen(r.box, i, x(i), x(i))
           acc
         },
-        (a, b) => Array.tabulate(2)(side => Array.tabulate(a(side).length)(k =>
-          add(a(side)(k), b(side)(k)))))
+        (a, b) => {
+          for (side <- 0 to 1; k <- a(side).indices) {
+            val (x, y) = (a(side)(k), b(side)(k))
+            x.count += y.count
+            for (i <- 0 until d) Region.widen(x.box, i, y.lo(i), y.hi(i))
+          }
+          a
+        })
     (stats(0), stats(1))
   }
 
-  private def boxesJoinable(a: RangeStats, b: RangeStats, band: BandSpec): Boolean = {
-    if (a.count == 0 || b.count == 0) return false
-    var i = 0
-    while (i < band.d) {
-      if (a.lo(i) - band.eps(i) > b.hi(i) || b.lo(i) - band.eps(i) > a.hi(i)) return false
-      i += 1
-    }
-    true
+  /** The candidate columns of each row, ascending: the non-empty ranges
+    * `cols(j)` whose box comes within the band of non-empty `rows(i)`'s
+    * box in every dimension of `band`. It keeps every pair of ranges that
+    * holds a joining pair, up to rounding in `lo - ε`: a pair exactly ε
+    * apart can be dropped.
+    */
+  private[baselines] def boxesJoinable(rows: Array[RangeStats], cols: Array[RangeStats],
+                                       band: BandSpec): Array[Array[Int]] = {
+    def joinable(a: RangeStats, b: RangeStats): Boolean =
+      a.count > 0 && b.count > 0 && (0 until band.d).forall(i =>
+        !(a.lo(i) - band.eps(i) > b.hi(i) || b.lo(i) - band.eps(i) > a.hi(i)))
+    rows.map(a => cols.indices.filter(j => joinable(a, cols(j))).toArray)
   }
 
   /** Build the CS_IO partitioning. `g0` = number of quantile ranges per
@@ -111,7 +126,7 @@ object CsIo {
   def build(s: DataFrame, t: DataFrame, dims: Seq[String], band: BandSpec,
             w: Int, sample: JoinSample, g0: Int = 0): CsIoResult = {
     val t0 = System.nanoTime()
-    val load = LoadModel()
+    val load = CostModel.default
     val g = if (g0 > 0) g0 else math.min(192, math.max(2 * w, 48))
 
     val sBounds = quantileBounds(sample.sPoints, g)
@@ -120,10 +135,7 @@ object CsIo {
 
     val outW = MatrixCover.cellOutput(sample.pairs, sBounds, tBounds, g)
 
-    // Candidate (relevant) columns per row, sorted.
-    val relByRow: Array[Array[Int]] = Array.tabulate(g) { i =>
-      (0 until g).filter(j => boxesJoinable(sStats(i), tStats(j), band)).toArray
-    }
+    val relByRow = boxesJoinable(sStats, tStats, band)
     val numCells = relByRow.map(_.length).sum
 
     // ----- M-Bucket-I covering -------------------------------------------

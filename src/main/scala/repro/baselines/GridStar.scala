@@ -41,10 +41,9 @@ object GridStar {
     sample.pairs.foreach { p =>
       outWk(grid.partitionWorker(grid.pairPartition(p.s, 0L, p.t, 0L))) += p.weight
     }
-    val lm = model.loadModel
     var mx = 0
     for (k <- 1 until w)
-      if (lm.load(inW(k), outWk(k)) > lm.load(inW(mx), outWk(mx))) mx = k
+      if (model.load(inW(k), outWk(k)) > model.load(inW(mx), outWk(mx))) mx = k
     Eval(j, estI, inW(mx), outWk(mx), model.predict(estI, inW(mx), outWk(mx)))
   }
 

@@ -4,61 +4,41 @@ import org.apache.spark.sql.DataFrame
 import repro.core._
 
 /** Quantile-based partitioning of distributed IEJoin (Khayyat et al.,
-  * §6.6 / Appendix A.1): both inputs are sorted on A1 and
-  * range-partitioned into blocks of ~`sizePerBlock` rows via approximate
-  * quantiles; every pair of blocks whose A1 ranges are within ε1 becomes
-  * a join task, and tasks are assigned to the w workers. A block that
-  * belongs to multiple joinable pairs is duplicated once per task —
-  * the source of IEJoin's high input duplication.
+  * §6.6 / Appendix A.1): both inputs are range-partitioned on A1 into
+  * blocks of ~`sizePerBlock` rows; every pair of non-empty blocks whose
+  * A1 min/max come within ε1 becomes a join task, and tasks are assigned
+  * to the w workers. A block that belongs to multiple joinable pairs is
+  * duplicated once per task — the source of IEJoin's high input
+  * duplication.
   *
-  * The result is a `MatrixCover` whose rows are S's blocks, columns T's
-  * blocks, and regions single-cell tasks.
+  * The statistics are CS_IO's: block boundaries are quantiles of the
+  * input sample's A1 values, and the blocks' exact counts and A1 boxes
+  * come from `CsIo.rangeStats`. The result is a `MatrixCover` whose rows
+  * are S's blocks, columns T's blocks, and regions single-cell tasks.
   */
 object IEJoinPart {
 
-  /** Build the partitioning for a given `sizePerBlock`. Block boundaries
-    * come from `approxQuantile` over the full input (the "approximate
-    * quantiles" of the original system). Returns the partitioning and
-    * its optimization time.
+  /** Build the partitioning for a given `sizePerBlock`, with one Spark
+    * job. Returns the partitioning and its optimization time.
     */
   def build(s: DataFrame, t: DataFrame, dims: Seq[String], band: BandSpec,
             w: Int, sizePerBlock: Int, sample: JoinSample): (MatrixCover, Double) = {
     val t0 = System.nanoTime()
-    val a1 = dims.head
-
-    // One-element bounds: the blocks are A1 ranges.
-    def bounds(df: DataFrame, n: Long): Array[Array[Double]] = {
-      val nBlocks = math.max(1, math.ceil(n.toDouble / sizePerBlock).toInt)
-      if (nBlocks == 1) Array.empty
-      else {
-        val probs = (1 until nBlocks).map(_.toDouble / nBlocks).toArray
-        df.stat.approxQuantile(a1, probs, 0.001).map(Array(_))
-      }
-    }
-    val sBounds = bounds(s, sample.sCount)
-    val tBounds = bounds(t, sample.tCount)
-    val nS = sBounds.length + 1
+    // One-element bounds at the sample's A1 quantiles: the blocks are A1 ranges.
+    def blocks(pts: Array[WPoint], n: Long): Array[Array[Double]] =
+      CsIo.quantileBounds(pts.map(p => WPoint(Array(p.x(0)), p.weight)),
+        math.max(1, math.ceil(n.toDouble / sizePerBlock).toInt))
+    val sBounds = blocks(sample.sPoints, sample.sCount)
+    val tBounds = blocks(sample.tPoints, sample.tCount)
     val nT = tBounds.length + 1
-    val (sStats, tStats) = CsIo.rangeStats(s, t, Seq(a1), sBounds, nS, tBounds, nT)
-    val sCnt = sStats.map(_.count)
-    val tCnt = tStats.map(_.count)
-
-    // A1 value range of each block, bounded by the quantile boundaries.
-    def range(bs: Array[Array[Double]], i: Int): (Double, Double) = (
-      if (i == 0) Double.NegativeInfinity else bs(i - 1)(0),
-      if (i == bs.length) Double.PositiveInfinity else bs(i)(0))
-
-    val e1 = band.eps(0)
+    val (sStats, tStats) =
+      CsIo.rangeStats(s, t, dims.take(1), sBounds, sBounds.length + 1, tBounds, nT)
     val outW = MatrixCover.cellOutput(sample.pairs, sBounds, tBounds, nT)
-    val tasks = for {
-      i <- 0 until nS; j <- 0 until nT
-      (sLo, sHi) = range(sBounds, i)
-      (tLo, tHi) = range(tBounds, j)
-      if sLo - e1 <= tHi && tLo - e1 <= sHi && sCnt(i) > 0 && tCnt(j) > 0
-    } yield i.toLong * nT + j
+    val tasks = CsIo.boxesJoinable(sStats, tStats, BandSpec(band.eps.take(1))).zipWithIndex
+      .flatMap { case (cols, i) => cols.map(i.toLong * nT + _) }
     val part = MatrixCover(sBounds, tBounds, nT, tasks.zipWithIndex.toMap,
-      tasks.map(c => (sCnt((c / nT).toInt) + tCnt((c % nT).toInt)).toDouble).toArray,
-      tasks.map(outW.getOrElse(_, 0.0)).toArray, w)
+      tasks.map(c => (sStats((c / nT).toInt).count + tStats((c % nT).toInt).count).toDouble),
+      tasks.map(outW.getOrElse(_, 0.0)), w)
     (part, (System.nanoTime() - t0) / 1e6)
   }
 }

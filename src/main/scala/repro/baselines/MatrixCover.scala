@@ -75,7 +75,7 @@ object MatrixCover {
             cellOwner: Map[Long, Int], in: Array[Double], out: Array[Double],
             w: Int): MatrixCover = {
     val regionWorker =
-      if (in.isEmpty) Array(0) else Lpt.schedule(in, out, w, LoadModel()).worker
+      if (in.isEmpty) Array(0) else Lpt.schedule(in, out, w, CostModel.default).worker
     new MatrixCover(rowBounds, colBounds, numCols, cellOwner, regionWorker, w)
   }
 }

@@ -64,3 +64,21 @@ final case class Region(lo: Array[Double], hi: Array[Double]) extends Serializab
     (Region(lo.clone(), lHi), Region(rLo, hi.clone()))
   }
 }
+
+/** Bounding boxes folded as SQL's `min` / `max` order doubles: NaN above
+  * every other value, ±0 equal. A box in `d` dimensions is one array,
+  * lo(0 until d) ++ hi(0 until d).
+  */
+object Region {
+
+  /** The empty box, which `widen` takes to the first values it sees. */
+  private[repro] def noBounds(d: Int): Array[Double] =
+    Array.fill(d)(Double.NaN) ++ Array.fill(d)(Double.NegativeInfinity)
+
+  /** Widen box `b` in dimension `i` to cover [lo, hi]. */
+  private[repro] def widen(b: Array[Double], i: Int, lo: Double, hi: Double): Unit = {
+    val d = b.length / 2
+    if (lo < b(i) || (b(i).isNaN && !lo.isNaN)) b(i) = lo
+    if (hi > b(d + i) || (hi.isNaN && !b(d + i).isNaN)) b(d + i) = hi
+  }
+}

@@ -1,29 +1,25 @@
 package repro.core
 
-/** Load model `l = β2·I + β3·O` used for split scoring and the max-load
-  * lower bound (Lemma 1). The paper's EMR profiling found β2/β3 ≈ 4.
-  */
-final case class LoadModel(beta2: Double = 4.0, beta3: Double = 1.0) extends Serializable {
-  def load(input: Double, output: Double): Double = beta2 * input + beta3 * output
-
-  /** Lower bound L0 = (β2(|S|+|T|) + β3|S⋈T|)/w (Lemma 1). */
-  def lowerBound(sCount: Double, tCount: Double, outCount: Double, w: Int): Double =
-    (beta2 * (sCount + tCount) + beta3 * outCount) / w
-}
-
 /** Running-time model of Li et al. [24]:
   * `M(I, Im, Om) = β0 + β1·I + β2·Im + β3·Om`
   * where I is total shuffled input, Im / Om input and output on the most
-  * loaded worker. Appendix A.2 parameterizes the same model as
-  * `β1·I + βL·(4·Im + Om)`; `CostModel.paperStyle` builds that form.
+  * loaded worker. Its worker-local terms are the load model
+  * `l = β2·I + β3·O` that scores splits, schedules partitions and bounds
+  * the max load (Lemma 1); the paper's EMR profiling found β2/β3 ≈ 4.
+  * Appendix A.2 parameterizes the same model as `β1·I + βL·(4·Im + Om)`;
+  * `CostModel.paperStyle` builds that form.
   */
 final case class CostModel(beta0: Double, beta1: Double, beta2: Double, beta3: Double)
     extends Serializable {
   def predict(i: Double, im: Double, om: Double): Double =
     beta0 + beta1 * i + beta2 * im + beta3 * om
 
-  /** The load model implied by the worker-local terms. */
-  def loadModel: LoadModel = LoadModel(beta2, beta3)
+  /** The load `β2·I + β3·O` of a worker or partition. */
+  def load(input: Double, output: Double): Double = beta2 * input + beta3 * output
+
+  /** Lower bound L0 = (β2(|S|+|T|) + β3|S⋈T|)/w (Lemma 1). */
+  def lowerBound(sCount: Double, tCount: Double, outCount: Double, w: Int): Double =
+    (beta2 * (sCount + tCount) + beta3 * outCount) / w
 }
 
 object CostModel {

@@ -21,10 +21,10 @@ object Lpt {
                             load: Array[Double], top: Int)
 
   /** Schedule partitions with input `in(p)` and output `out(p)`, each
-    * weighing `load.load(in(p), out(p))`, onto `w` workers.
+    * weighing `model.load(in(p), out(p))`, onto `w` workers.
     */
-  def schedule(in: Array[Double], out: Array[Double], w: Int, load: LoadModel): Schedule = {
-    val loads = Array.tabulate(in.length)(p => load.load(in(p), out(p)))
+  def schedule(in: Array[Double], out: Array[Double], w: Int, model: CostModel): Schedule = {
+    val loads = Array.tabulate(in.length)(p => model.load(in(p), out(p)))
     val worker = assign(loads, w)
     val wIn = new Array[Double](w)
     val wOut = new Array[Double](w)

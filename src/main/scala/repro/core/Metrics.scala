@@ -47,7 +47,7 @@ object Metrics {
   def compute(s: DataFrame, t: DataFrame, dims: Seq[String],
               part: BandPartitioning, pairs: Dataset[PairRow],
               explodeLimit: Long = 30000000L): PartMetrics = {
-    val load = LoadModel()
+    val load = CostModel.default
     val w = part.numWorkers
 
     def points(df: DataFrame, side: Int): RDD[(Int, Long, Array[Double])] =

@@ -118,8 +118,8 @@ object RecPart {
     def score: Double = best.fold(0.0)(_.score)
 
     /** Σ l² over the rr·cc internal 1-Bucket sub-partitions. */
-    def sumSq(rr: Int, cc: Int, lm: LoadModel): Double = {
-      val l = lm.load(sW / rr + tW / cc, oW / (rr.toDouble * cc))
+    def sumSq(rr: Int, cc: Int, model: CostModel): Double = {
+      val l = model.load(sW / rr + tW / cc, oW / (rr.toDouble * cc))
       rr.toDouble * cc * l * l
     }
 
@@ -165,7 +165,7 @@ object RecPart {
     val root = newLeaf(rootRegion, rootSide(sample.sPoints, 0), rootSide(sample.tPoints, band.d))
 
     val input0 = (sample.sCount + sample.tCount).toDouble
-    val l0 = cfg.costModel.loadModel.lowerBound(sample.sCount.toDouble, sample.tCount.toDouble,
+    val l0 = cfg.costModel.lowerBound(sample.sCount.toDouble, sample.tCount.toDouble,
       sample.outputEstimate, cfg.w)
     val traj = Vector.newBuilder[IterStats]
     var stats = snapshot(live, input0, l0, cfg, 0)
@@ -311,10 +311,10 @@ object RecPart {
 
   private def bestGridIncrement(leaf: Leaf, cfg: RecPartConfig,
                                 k: Double, minDup: Double): Option[Candidate] = {
-    val lm = cfg.costModel.loadModel
-    val cur = leaf.sumSq(leaf.r, leaf.c, lm)
-    val varRow = k * (cur - leaf.sumSq(leaf.r + 1, leaf.c, lm))
-    val varCol = k * (cur - leaf.sumSq(leaf.r, leaf.c + 1, lm))
+    val model = cfg.costModel
+    val cur = leaf.sumSq(leaf.r, leaf.c, model)
+    val varRow = k * (cur - leaf.sumSq(leaf.r + 1, leaf.c, model))
+    val varCol = k * (cur - leaf.sumSq(leaf.r, leaf.c + 1, model))
     val sRow = score(varRow, leaf.tW, minDup) // extra row duplicates T once more
     val sCol = score(varCol, leaf.sW, minDup) // extra column duplicates S once more
     if (sRow <= 0 && sCol <= 0) None
@@ -324,13 +324,13 @@ object RecPart {
 
   private def bestRegularSplit(leaf: Leaf, band: BandSpec, cfg: RecPartConfig,
                                k: Double, minDup: Double): Option[Candidate] = {
-    val lm = cfg.costModel.loadModel
+    val model = cfg.costModel
     // Relative duplication floor: charging a split less than 2% of the
     // leaf's own input makes sliver splits (high ratio, negligible ΔVar)
     // outrank the load-relevant splits of the same leaf at our sample
     // scale; see DESIGN.md §6.
     val floorDup = math.max(minDup, 0.02 * (leaf.sW + leaf.tW))
-    val curSq = leaf.sumSq(1, 1, lm)
+    val curSq = leaf.sumSq(1, 1, model)
     var bestScore = 0.0
     var best: Option[Candidate] = None
 
@@ -351,8 +351,8 @@ object RecPart {
         val dR = dup.weight - dupNotRight(x - e)
         val oL = outLeft(x)
         val oR = leaf.oW - oL
-        val l1 = lm.load(pL + dL, oL)
-        val l2 = lm.load(pR + dR, oR)
+        val l1 = model.load(pL + dL, oL)
+        val l2 = model.load(pR + dR, oR)
         val dVar = k * (curSq - l1 * l1 - l2 * l2)
         val sc = score(dVar, dL + dR - dup.weight, floorDup)
         if (sc > bestScore) {
@@ -395,7 +395,7 @@ object RecPart {
       estI += l.inputEst
       l.addSubs(in, out)
     }
-    val sched = Lpt.schedule(in.toArray, out.toArray, cfg.w, cfg.costModel.loadModel)
+    val sched = Lpt.schedule(in.toArray, out.toArray, cfg.w, cfg.costModel)
     val (im, om, lmX) = (sched.in(sched.top), sched.out(sched.top), sched.load(sched.top))
     val dupOH = if (input0 > 0) (estI - input0) / input0 else 0.0
     val loadOH = if (l0 > 0) (lmX - l0) / l0 else 0.0
@@ -420,7 +420,7 @@ object RecPart {
         node
     }
     val tree = build(root)
-    val pidWorker = Lpt.schedule(in.toArray, out.toArray, cfg.w, cfg.costModel.loadModel).worker
+    val pidWorker = Lpt.schedule(in.toArray, out.toArray, cfg.w, cfg.costModel).worker
     TreePartitioning(tree, band, pidWorker, cfg.w)
   }
 }

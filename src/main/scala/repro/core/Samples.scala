@@ -134,25 +134,10 @@ object Samples {
 
   /** One partition of one input: its row count, a uniformly random
     * ordered sample of at most `cap` of its points, flattened: point k is
-    * `points(k·d until (k+1)·d)`, and its `bounds` (see `widen`).
+    * `points(k·d until (k+1)·d)`, and its bounding box (see `Region.widen`).
     */
   private final case class Kept(side: Int, count: Long, points: Array[Double],
                                 bounds: Array[Double])
-
-  /** No bounds in `d` dimensions: lo(0 until d) ++ hi(0 until d), which
-    * `widen` takes to the first values it sees.
-    */
-  private def noBounds(d: Int): Array[Double] =
-    Array.fill(d)(Double.NaN) ++ Array.fill(d)(Double.NegativeInfinity)
-
-  /** Widen bounds `b` in dimension `i` to cover [lo, hi] in SQL's order
-    * of doubles, as its `min` / `max` do: NaN last, ±0 equal.
-    */
-  private def widen(b: Array[Double], i: Int, lo: Double, hi: Double): Unit = {
-    val d = b.length / 2
-    if (lo < b(i) || (b(i).isNaN && !lo.isNaN)) b(i) = lo
-    if (hi > b(d + i) || (hi.isNaN && !b(d + i).isNaN)) b(d + i) = hi
-  }
 
   /** The generator of one input's partition (`part` = -1: the driver's). */
   private def rng(seed: Long, side: Int, part: Int): SplittableRandom =
@@ -176,7 +161,7 @@ object Samples {
         .mapPartitionsWithIndex { (part, rows) =>
           val rnd = rng(seed, side, part)
           var kept = new Array[Double](d * math.min(cap, 1024))
-          val bounds = noBounds(d)
+          val bounds = Region.noBounds(d)
           var n = 0
           var count = 0L
           rows.foreach { r =>
@@ -194,7 +179,7 @@ object Samples {
             var i = 0
             while (i < d) {
               val x = BandJoinExec.attribute(r, dims, i)
-              widen(bounds, i, x, x)
+              Region.widen(bounds, i, x, x)
               if (slot >= 0) kept(slot * d + i) = x
               i += 1
             }
@@ -210,8 +195,8 @@ object Samples {
         }
     }
     val kept = dfs.head.sparkSession.sparkContext.union(parts).collect()
-    val bounds = noBounds(d)
-    for (k <- kept; i <- 0 until d) widen(bounds, i, k.bounds(i), k.bounds(d + i))
+    val bounds = Region.noBounds(d)
+    for (k <- kept; i <- 0 until d) Region.widen(bounds, i, k.bounds(i), k.bounds(d + i))
     val region =
       if (kept.forall(_.count == 0)) Region(new Array(d), new Array(d))
       else Region(bounds.take(d), bounds.drop(d))

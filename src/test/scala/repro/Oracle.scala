@@ -6,10 +6,11 @@ import repro.core.{BandJoinExec, BandPartitioning, BandSpec}
 
 /** DuckDB correctness oracle.
   *
-  * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
-  * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
-  * match ``sparkDf``. This catches wrong results from a rewritten plan
-  * or a custom operator — "it ran" is not "it is correct".
+  * ``duckdb(sql, tables)`` runs ``sql`` on DuckDB (via JDBC, in-process)
+  * over ``tables`` once; ``assertMatches(sparkDf, answer)`` asserts that
+  * the sorted rows of each Spark result match it. This catches wrong
+  * results from a rewritten plan or a custom operator — "it ran" is not
+  * "it is correct".
   *
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
@@ -34,7 +35,7 @@ object Oracle {
   }
 
   /** The distributed band-join's output pairs as a two-column (sid, tid)
-    * DataFrame: the shape `assertEquivalent` compares.
+    * DataFrame: the shape `assertMatches` compares.
     */
   def pairIds(s: DataFrame, t: DataFrame, dims: Seq[String], band: BandSpec,
               part: BandPartitioning): DataFrame =
@@ -51,7 +52,11 @@ object Oracle {
       s"FROM s, t WHERE ${conds.mkString(" AND ")}"
   }
 
-  def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
+  /** Sorted canonical rows of a query's answer, with its column names. */
+  final case class Answer(cols: Seq[String], rows: Seq[Seq[String]])
+
+  /** DuckDB's answer to `sql` over `tables`. */
+  def duckdb(sql: String, tables: (String, DataFrame)*): Answer = {
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")
     try {
@@ -78,18 +83,23 @@ object Oracle {
         .takeWhile(_.next())
         .map(r => Row.fromSeq((1 to dCols.size).map(r.getObject)))
         .toSeq
-      val sCols = sparkDf.columns.toSeq
-      require(
-        dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
-        s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
-      )
-      val got = canon(sparkDf.collect().toSeq, sCols)
-      val exp = canon(dRows, dCols)
-      require(got == exp,
-        s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
-        s"  first spark-only: ${got.diff(exp).take(3)}\n" +
-        s"  first duck-only:  ${exp.diff(got).take(3)}"
-      )
+      Answer(dCols, canon(dRows, dCols))
     } finally conn.close()
+  }
+
+  /** Asserts that `sparkDf`'s rows are `expected`'s. */
+  def assertMatches(sparkDf: DataFrame, expected: Answer): Unit = {
+    val sCols = sparkDf.columns.toSeq
+    require(
+      expected.cols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
+      s"column mismatch: spark=${sCols.sorted} duckdb=${expected.cols.sorted} — alias every output column"
+    )
+    val got = canon(sparkDf.collect().toSeq, sCols)
+    val exp = expected.rows
+    require(got == exp,
+      s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
+      s"  first spark-only: ${got.diff(exp).take(3)}\n" +
+      s"  first duck-only:  ${exp.diff(got).take(3)}"
+    )
   }
 }

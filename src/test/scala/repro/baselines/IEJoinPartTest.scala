@@ -58,6 +58,14 @@ class IEJoinPartTest extends SparkSpec {
     PartitionLaws.checkAll(part, band, s, t)
   }
 
+  test("build runs one Spark job, the range statistics") {
+    val s = TestData.randomDf(spark, 300, 2, 5, skewed = true).cache()
+    val t = TestData.randomDf(spark, 300, 2, 6, skewed = true).cache()
+    val band = BandSpec(Array(0.3, 0.6))
+    val sample = Samples.draw(s, t, TestData.dims(2), band, 600, 600, seed = 7)
+    assert(sparkJobs { IEJoinPart.build(s, t, TestData.dims(2), band, 8, 64, sample) } == 1)
+  }
+
   test("single block degenerates to one task") {
     val s = PartitionLaws.cloud(30, 1, 10)
     val t = PartitionLaws.cloud(30, 1, 11)

@@ -4,15 +4,13 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class CostModelTest extends AnyFunSuite {
 
-  test("LoadModel default matches the paper's β2/β3 = 4 profile") {
-    val lm = LoadModel()
-    assert(lm.load(10, 8) == 48.0)
+  test("CostModel.default load matches the paper's β2/β3 = 4 profile") {
+    assert(CostModel.default.load(10, 8) == 48.0)
   }
 
-  test("LoadModel lower bound is Lemma 1's L0") {
-    val lm = LoadModel(4, 1)
+  test("CostModel lower bound is Lemma 1's L0") {
     // L0 = (4*(100+100) + 1*50)/10
-    assert(lm.lowerBound(100, 100, 50, 10) == 85.0)
+    assert(CostModel.default.lowerBound(100, 100, 50, 10) == 85.0)
   }
 
   test("CostModel.default is I + 4*Im + Om") {
@@ -22,11 +20,6 @@ class CostModelTest extends AnyFunSuite {
   test("paperStyle builds β1·I + βL·(4·Im + Om)") {
     val m = CostModel.paperStyle(1.0, 10.0)
     assert(m.predict(100, 10, 20) == 100.0 + 10 * (40 + 20))
-  }
-
-  test("loadModel extraction preserves worker-local terms") {
-    val m = CostModel(5.0, 2.0, 3.0, 0.5)
-    assert(m.loadModel == LoadModel(3.0, 0.5))
   }
 
   test("OLS recovers exact linear coefficients") {

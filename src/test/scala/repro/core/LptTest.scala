@@ -7,7 +7,7 @@ class LptTest extends AnyFunSuite {
 
   /** Schedule partitions whose load is their input. */
   private def schedule(loads: Array[Double], w: Int): Lpt.Schedule =
-    Lpt.schedule(loads, new Array[Double](loads.length), w, LoadModel(1.0, 0.0))
+    Lpt.schedule(loads, new Array[Double](loads.length), w, CostModel(0.0, 0.0, 1.0, 0.0))
 
   test("single worker receives everything") {
     val a = schedule(Array(1.0, 2.0, 3.0), 1).worker
@@ -71,7 +71,7 @@ class LptTest extends AnyFunSuite {
     Props.hold(Prop.forAll(Gen.choose(0, 25).flatMap(Gen.listOfN(_, part)), Gen.choose(1, 8)) {
       (ps, w) =>
         val (in, out) = (ps.map(_._1).toArray, ps.map(_._2).toArray)
-        val load = LoadModel()
+        val load = CostModel.default
         val sch = Lpt.schedule(in, out, w, load)
         val (wIn, wOut, wLoad) = (new Array[Double](w), new Array[Double](w), new Array[Double](w))
         for (p <- in.indices) {

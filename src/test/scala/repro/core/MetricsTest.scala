@@ -8,7 +8,7 @@ class MetricsTest extends SparkSpec {
   private def bruteMetrics(part: BandPartitioning, band: BandSpec,
                            s: Seq[(Long, Array[Double])],
                            t: Seq[(Long, Array[Double])]): PartMetrics = {
-    val load = LoadModel()
+    val load = CostModel.default
     val w = part.numWorkers
     val inByPid = scala.collection.mutable.HashMap.empty[Int, Long].withDefaultValue(0L)
     val outByPid = scala.collection.mutable.HashMap.empty[Int, Long].withDefaultValue(0L)
