@@ -14,10 +14,13 @@ final case class BandSpec(eps: Array[Double]) extends Serializable {
   /** True iff the pair (s, t) is in the band-join output. As in SQL, a
     * NaN coordinate never matches.
     */
-  def matches(s: Array[Double], t: Array[Double]): Boolean = {
+  def matches(s: Array[Double], t: Array[Double]): Boolean = matchesAt(s, t, 0)
+
+  /** `matches(s, t.slice(at, at + d))`, without the copy. */
+  def matchesAt(s: Array[Double], t: Array[Double], at: Int): Boolean = {
     var i = 0
     while (i < eps.length) {
-      if (!(math.abs(s(i) - t(i)) <= eps(i))) return false
+      if (!(math.abs(s(i) - t(at + i)) <= eps(i))) return false
       i += 1
     }
     true

@@ -8,7 +8,7 @@ import org.apache.spark.rdd.{RDD, ShuffledRDD}
 import org.apache.spark.serializer.{DeserializationStream, SerializationStream, Serializer, SerializerInstance}
 import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types._
 import scala.collection.mutable.{ArrayBuffer, HashMap}
 import scala.reflect.ClassTag
 
@@ -37,38 +37,76 @@ final case class PairRow(sid: Long, tid: Long, s: Array[Double], t: Array[Double
   */
 object BandJoinExec {
 
-  /** The one reader of an input: `df`'s rows as Spark's internal rows of
-    * the id (column 0) and the join attributes `dims` cast to double
-    * (columns 1 to d). Every job reads its inputs here, through `id` and
-    * `attribute`, which reject nulls.
+  /** The one reader of an input: `df`'s rows as Spark plans them, once
+    * per Dataset (`queryExecution.toRdd`), and the `Columns` that read its
+    * id and join attributes `dims` from them. Every job reads its inputs
+    * here. A join attribute must be a byte, short, int, long, float,
+    * double or decimal column, and the id an integral one; any other type
+    * is rejected here, on the driver, with the column's name and type.
+    * Cache `df` before its first read: a cache added later is not used.
     */
-  private[core] def rows(df: DataFrame, dims: Seq[String]): RDD[InternalRow] =
-    df.select(col("id").cast("long") +: dims.map(c => col(c).cast("double")): _*)
-      .queryExecution.toRdd
-
-  /** The id of a row of `rows`. A null id is rejected. */
-  private[core] def id(r: InternalRow): Long = {
-    require(!r.isNullAt(0), "null id")
-    r.getLong(0)
+  private[core] def rows(df: DataFrame, dims: Seq[String]): (RDD[InternalRow], Columns) = {
+    val schema = df.schema
+    def column(c: String, what: String, types: String)(ok: DataType => Boolean): (Int, DataType) = {
+      val i = schema.fieldIndex(c)
+      val t = schema(i).dataType
+      require(ok(t), s"$what $c has type ${t.simpleString}; expected $types")
+      (i, t)
+    }
+    val (idAt, idType) = column("id", "id column", "byte, short, int or long")(
+      Set[DataType](ByteType, ShortType, IntegerType, LongType))
+    val attrs = dims.map(column(_, "join attribute",
+      "byte, short, int, long, float, double or decimal") {
+      case ByteType | ShortType | IntegerType | LongType | FloatType | DoubleType | _: DecimalType => true
+      case _ => false
+    })
+    (df.queryExecution.toRdd,
+      new Columns(dims, idAt, idType, attrs.map(_._1).toArray, attrs.map(_._2).toArray))
   }
 
-  /** Join attribute `i` of a row of `rows(df, dims)`. A null join
-    * attribute is rejected, not skipped.
+  /** Where an input's internal rows hold its id and join attributes. Both
+    * are read as `col(c).cast(...)` would read them: the id as a long,
+    * each join attribute as a double. Nulls are rejected, not skipped.
     */
-  private[core] def attribute(r: InternalRow, dims: Seq[String], i: Int): Double = {
-    require(!r.isNullAt(1 + i), s"null in join attribute ${dims(i)}")
-    r.getDouble(1 + i)
+  private[core] final class Columns(dims: Seq[String], idAt: Int, idType: DataType,
+                                    at: Array[Int], types: Array[DataType]) extends Serializable {
+    def id(r: InternalRow): Long = {
+      require(!r.isNullAt(idAt), "null id")
+      idType match {
+        case LongType => r.getLong(idAt)
+        case IntegerType => r.getInt(idAt).toLong
+        case ShortType => r.getShort(idAt).toLong
+        case _ => r.getByte(idAt).toLong // the one type left that `rows` admits
+      }
+    }
+
+    /** Join attribute `i`. */
+    def attribute(r: InternalRow, i: Int): Double = {
+      val k = at(i)
+      require(!r.isNullAt(k), s"null in join attribute ${dims(i)}")
+      types(i) match {
+        case DoubleType => r.getDouble(k)
+        case FloatType => r.getFloat(k).toDouble
+        case LongType => r.getLong(k).toDouble
+        case IntegerType => r.getInt(k).toDouble
+        case ShortType => r.getShort(k).toDouble
+        case t: DecimalType => r.getDecimal(k, t.precision, t.scale).toDouble
+        case _ => r.getByte(k).toDouble // the one type left that `rows` admits
+      }
+    }
   }
 
   /** Every tuple of `df` as its id and join-attribute point. */
-  private[repro] def tuples(df: DataFrame, dims: Seq[String]): RDD[(Long, Array[Double])] =
-    rows(df, dims).map { r =>
-      val k = id(r)
+  private[repro] def tuples(df: DataFrame, dims: Seq[String]): RDD[(Long, Array[Double])] = {
+    val (in, cols) = rows(df, dims)
+    in.map { r =>
+      val k = cols.id(r)
       val x = new Array[Double](dims.length)
       var i = 0
-      while (i < x.length) { x(i) = attribute(r, dims, i); i += 1 }
+      while (i < x.length) { x(i) = cols.attribute(r, i); i += 1 }
       (k, x)
     }
+  }
 
   /** Every copy of `df`'s tuples as (pid, record). A record is the side,
     * the id and the raw bits of each coordinate, so it is lossless.

@@ -4,7 +4,8 @@ import scala.collection.mutable.ArrayBuffer
 
 /** The local band-join kernel: the paper's §6.1 index-nested-loops join
   * on A1, refined by an ε-grid on up to two further dimensions with a
-  * finite ε > 0 (after Böhm et al., *Epsilon Grid Order*, SIGMOD 2001).
+  * finite ε > 0 (after Böhm et al., *Epsilon Grid Order*, SIGMOD 2001)
+  * and by a cell signature on up to eight more.
   *
   * T is sorted by (ε-cell of each grid dimension, A1), where the cell of
   * x is `floor(x / ε)`; each run of equal cells is a group. For each s
@@ -16,6 +17,14 @@ import scala.collection.mutable.ArrayBuffer
   * grid dimension (d = 1, or no other ε > 0) T is a single group and the
   * kernel is the paper's A1 window; ε1 = 0 makes that window an
   * exact-equality range.
+  *
+  * The signature dimensions are the further dimensions with a finite
+  * ε > 0, at most eight. A t's signature packs its cell in each of them
+  * into one byte-wide lane of a `Long`: the cell less T's lowest cell in
+  * that dimension, clamped to 0..127. That map is monotone, so a t within
+  * reach of s has each lane between those of s's cells of s − ε and
+  * s + ε; two SWAR compares reject every other candidate before the band
+  * condition is checked.
   */
 object LocalJoin {
 
@@ -53,6 +62,24 @@ object LocalJoin {
     */
   private def reach(x: Double, e: Double): Double = e + 4 * Math.ulp(math.abs(x) + e)
 
+  /** Lanes of a signature: one byte each, 7 bits of cell and a guard bit. */
+  private val Lanes = 8
+  private val Guards = 0x8080808080808080L
+
+  /** Cell `c` of a signature dimension whose lowest T cell is `base`, in
+    * 0..127: `c − base`, clamped (the difference may overflow a `Long`).
+    */
+  private def lane(c: Long, base: Long): Long =
+    if (c <= base) 0L
+    else { val o = c - base; if (o < 0 || o > 127) 127L else o }
+
+  /** Every lane of `x` lies between the same lanes of `lo` and `hi`. With
+    * each lane's guard bit set before the subtraction, no borrow crosses
+    * a lane, and the guard survives iff that lane did not go below zero.
+    */
+  private def within(lo: Long, x: Long, hi: Long): Boolean =
+    (((x | Guards) - lo) & Guards) == Guards && (((hi | Guards) - x) & Guards) == Guards
+
   /** Report every (s-index, t-index) pair that satisfies `band`, each
     * once, in no particular order.
     */
@@ -60,9 +87,10 @@ object LocalJoin {
       onMatch: (Int, Int) => Unit): Unit = {
     if (s.isEmpty || t.isEmpty) return
     val eps = band.eps
-    val grid = (1 until band.d).filter(i => eps(i) > 0 && eps(i) < Double.PositiveInfinity)
-    val d1 = if (grid.nonEmpty) grid(0) else -1
-    val d2 = if (grid.length > 1) grid(1) else -1
+    val filtered = (1 until band.d).filter(i => eps(i) > 0 && eps(i) < Double.PositiveInfinity)
+    val d1 = if (filtered.nonEmpty) filtered(0) else -1
+    val d2 = if (filtered.length > 1) filtered(1) else -1
+    val sigDims = filtered.slice(2, 2 + Lanes).toArray
     // The cell of x − ε, x or x + ε (`side` −1, 0 or 1) in grid dimension
     // `dim`; every point shares cell 0 in an absent one. floor(x / ε) is
     // monotone in x, so the cells between those of s − ε and s + ε hold
@@ -75,15 +103,27 @@ object LocalJoin {
     val n = t.length
     val c1 = t.map(cell(_, d1, 0))
     val c2 = t.map(cell(_, d2, 0))
-    val order = Array.tabulate[Integer](n)(i => i)
-    java.util.Arrays.sort(order, (a: Integer, b: Integer) => {
-      val byC1 = java.lang.Long.compare(c1(a), c1(b))
-      val byCells = if (byC1 != 0) byC1 else java.lang.Long.compare(c2(a), c2(b))
-      if (byCells != 0) byCells else java.lang.Double.compare(t(a)(0), t(b)(0))
-    })
-    val tIdx = order.map(_.intValue)
-    val tPts = tIdx.map(t)
-    val a1 = tPts.map(_(0))
+    val tIdx = IndexSort.stable(c1, c2, t.map(p => IndexSort.orderKey(p(0))))
+    // T's points in sorted order, flattened: point j is tx(j·d until (j+1)·d).
+    val d = band.d
+    val tx = new Array[Double](n * d)
+    for (j <- 0 until n) System.arraycopy(t(tIdx(j)), 0, tx, j * d, d)
+    val a1 = Array.tabulate(n)(j => tx(j * d))
+    // Each sorted T point's cell in each signature dimension, and T's lowest.
+    val sigCells = sigDims.map(dim => tIdx.map(i => cell(t(i), dim, 0)))
+    val base = sigCells.map(_.foldLeft(Long.MaxValue)(math.min))
+    // The signature of p's cells of p − ε or p + ε (`side` −1 or 1).
+    def signature(p: Array[Double], side: Int): Long = {
+      var sig = 0L
+      var k = 0
+      while (k < sigDims.length) {
+        sig |= lane(cell(p, sigDims(k), side), base(k)) << (8 * k)
+        k += 1
+      }
+      sig
+    }
+    val sig = new Array[Long](n)
+    for (k <- sigDims.indices; j <- 0 until n) sig(j) |= lane(sigCells(k)(j), base(k)) << (8 * k)
     // Groups: runs of equal (c1, c2) in sorted order; group g holds sorted
     // positions [start(g), start(g + 1)).
     val sc1 = tIdx.map(c1)
@@ -109,8 +149,12 @@ object LocalJoin {
       val p = s(si)
       val lo1 = cell(p, d1, -1); val hi1 = cell(p, d1, 1)
       val lo2 = cell(p, d2, -1); val hi2 = cell(p, d2, 1)
-      val from = p(0) - reach(p(0), e1)
-      val to = p(0) + reach(p(0), e1)
+      val sigLo = signature(p, -1)
+      val sigHi = signature(p, 1)
+      // At ε1 = ∞ an infinite s1 matches every finite t1, though s1 ∓ ∞ is NaN.
+      val (from, to) =
+        if (e1 == Double.PositiveInfinity) (Double.NegativeInfinity, e1)
+        else (p(0) - reach(p(0), e1), p(0) + reach(p(0), e1))
       var g = groupAt(lo1, lo2)
       while (g < nG && g1(g) <= hi1) {
         if (g2(g) < lo2) g = groupAt(g1(g), lo2)
@@ -119,7 +163,7 @@ object LocalJoin {
           val end = start(g + 1)
           var j = lowerBound(a1, start(g), end, from)
           while (j < end && a1(j) <= to) {
-            if (band.matches(p, tPts(j))) onMatch(si, tIdx(j))
+            if (within(sigLo, sig(j), sigHi) && band.matchesAt(p, tx, j * d)) onMatch(si, tIdx(j))
             j += 1
           }
           g += 1

@@ -39,12 +39,13 @@ object Lpt {
   }
 
   /** Assign `loads(i)` to one of `w` workers; returns worker index per
-    * partition. Partitions are placed heaviest-first on the currently
-    * least-loaded worker (ties broken by worker index).
+    * partition. Partitions are placed heaviest-first (equal loads in
+    * partition order) on the currently least-loaded worker (ties broken
+    * by worker index).
     */
   private def assign(loads: Array[Double], w: Int): Array[Int] = {
     require(w >= 1)
-    val order = loads.indices.toArray.sortBy(i => (-loads(i), i))
+    val order = IndexSort.byKey(loads.map(-_))
     val workerLoad = Array.fill(w)(0.0)
     val out = new Array[Int](loads.length)
     for (p <- order) {

@@ -6,9 +6,9 @@ import scala.collection.mutable.ArrayBuffer
 /** Which rule ends the repeat-loop of Algorithm 1 (§4.2). */
 sealed trait Termination
 object Termination {
-  /** Cost-model driven: winner minimizes `M`. The paper's windowed
-    * early stop is not implemented; the loop runs to its iteration cap
-    * (DESIGN.md §6).
+  /** Cost-model driven: winner minimizes `M`. Instead of the paper's
+    * windowed early stop, the loop stops once no later iteration can beat
+    * the best one (DESIGN.md §6).
     */
   case object Applied extends Termination
   /** Model-free: stop once duplication overhead exceeds the smallest
@@ -80,24 +80,80 @@ object RecPart {
   /** A leaf's best split with its ΔVar and ranking score ΔVar/ΔDup. */
   private final case class Candidate(score: Double, dVar: Double, split: Split)
 
+  /** An attribute list: item `idx(j)` (a sample point or output pair)
+    * with weight `weight(j)` and coordinate `key(j)`, ascending on the
+    * coordinate.
+    */
+  private final class Attr(val idx: Array[Int], val key: Array[Double], val weight: Array[Double]) {
+    def length: Int = idx.length
+
+    /** The entries whose item has `keep(item) == side`, in order. */
+    def filter(keep: Array[Boolean], side: Boolean): Attr = {
+      var n = 0
+      var j = 0
+      while (j < idx.length) { if (keep(idx(j)) == side) n += 1; j += 1 }
+      val (i2, k2, w2) = (new Array[Int](n), new Array[Double](n), new Array[Double](n))
+      n = 0; j = 0
+      while (j < idx.length) {
+        if (keep(idx(j)) == side) { i2(n) = idx(j); k2(n) = key(j); w2(n) = weight(j); n += 1 }
+        j += 1
+      }
+      new Attr(i2, k2, w2)
+    }
+  }
+
+  private object Attr {
+    /** The list of `items` with weights `weight` on coordinate `coord`,
+      * by a stable sort.
+      */
+    def sorted[A](items: Array[A], coord: A => Double, weight: A => Double): Attr = {
+      val key = items.map(coord)
+      val idx = IndexSort.byKey(key)
+      new Attr(idx, idx.map(key), idx.map(i => weight(items(i))))
+    }
+  }
+
   /** One side of a leaf's sample, sorted on each dimension once at the
     * root; children inherit the order through stable filters (SLIQ /
-    * SPRINT attribute lists). `pts(dim)`: the side's points ascending on
-    * `dim`; `pairs(dim)`: the output pairs as joined points s ++ t,
-    * ascending on this side's coordinate `off + dim`.
+    * SPRINT attribute lists). `pts(dim)`: the side's points (of which the
+    * root has `nPts`) ascending on `dim`; `pairs(dim)`: the output pairs
+    * (of which the root has `nPairs`), ascending on this side's coordinate
+    * `off + dim` of the joined point s ++ t.
     */
-  private final class Side(val pts: Array[Array[WPoint]], val pairs: Array[Array[WPoint]],
-                           val off: Int) {
-    val weight: Double = pts(0).iterator.map(_.weight).sum
+  private final class Side(val pts: Array[Attr], val pairs: Array[Attr], val off: Int,
+                           nPts: Int, nPairs: Int) {
+    val weight: Double = sum(pts(0).weight)
 
     /** The children's lists for a split at x on `dim`: points go to each
-      * child within `reach`, pairs by their partitioned side's coordinate `c`.
+      * child within `reach`, pairs to the left one iff `pairLeft(pair)`.
       */
-    def split(dim: Int, x: Double, reach: Double, c: Int): (Side, Side) = (
-      new Side(pts.map(_.filter(p => SplitTree.reachesLeft(p.x(dim), x, reach))),
-        pairs.map(_.filter(_.x(c) < x)), off),
-      new Side(pts.map(_.filter(p => SplitTree.reachesRight(p.x(dim), x, reach))),
-        pairs.map(_.filter(_.x(c) >= x)), off))
+    def split(dim: Int, x: Double, reach: Double, pairLeft: Array[Boolean]): (Side, Side) = {
+      val byDim = pts(dim)
+      val (left, right) = (new Array[Boolean](nPts), new Array[Boolean](nPts))
+      for (j <- 0 until byDim.length) {
+        left(byDim.idx(j)) = SplitTree.reachesLeft(byDim.key(j), x, reach)
+        right(byDim.idx(j)) = SplitTree.reachesRight(byDim.key(j), x, reach)
+      }
+      def child(in: Array[Boolean], side: Boolean) =
+        new Side(pts.map(_.filter(in, true)), pairs.map(_.filter(pairLeft, side)), off, nPts, nPairs)
+      (child(left, true), child(right, false))
+    }
+
+    /** Per output pair, whether its coordinate `off + dim` is below x. */
+    def pairsBelow(dim: Int, x: Double): Array[Boolean] = {
+      val below = new Array[Boolean](nPairs)
+      val byDim = pairs(dim)
+      for (j <- 0 until byDim.length) below(byDim.idx(j)) = byDim.key(j) < x
+      below
+    }
+  }
+
+  /** Σ a, added in order from 0.0. */
+  private def sum(a: Array[Double]): Double = {
+    var acc = 0.0
+    var j = 0
+    while (j < a.length) { acc += a(j); j += 1 }
+    acc
   }
 
   /** A node of the split tree. It is a leaf of the partitioning, with an
@@ -112,7 +168,7 @@ object RecPart {
 
     val sW: Double = s.weight
     val tW: Double = t.weight
-    val oW: Double = s.pairs(0).iterator.map(_.weight).sum
+    val oW: Double = sum(s.pairs(0).weight)
 
     /** The best split's score; 0 without one. */
     def score: Double = best.fold(0.0)(_.score)
@@ -126,10 +182,13 @@ object RecPart {
     /** Estimated shuffled input of this leaf incl. internal duplication. */
     def inputEst: Double = c * sW + r * tW
 
-    /** Append the input and output of each of the r·c sub-partitions. */
-    def addSubs(in: ArrayBuffer[Double], out: ArrayBuffer[Double]): Unit = {
-      in ++= Iterator.fill(r * c)(sW / r + tW / c)
-      out ++= Iterator.fill(r * c)(oW / (r.toDouble * c))
+    /** Write the input and output of each of the r·c sub-partitions from
+      * index `at` on; returns the index after them.
+      */
+    def addSubs(in: Array[Double], out: Array[Double], at: Int): Int = {
+      java.util.Arrays.fill(in, at, at + r * c, sW / r + tW / c)
+      java.util.Arrays.fill(out, at, at + r * c, oW / (r.toDouble * c))
+      at + r * c
     }
   }
 
@@ -158,15 +217,32 @@ object RecPart {
       l
     }
 
-    val joined = sample.pairs.map(p => WPoint(p.s ++ p.t, p.weight))
+    val d = band.d
     def rootSide(pts: Array[WPoint], off: Int) = new Side( // the only sorts; stable
-      Array.tabulate(band.d)(dim => pts.sortBy(_.x(dim))),
-      Array.tabulate(band.d)(dim => joined.sortBy(_.x(off + dim))), off)
-    val root = newLeaf(rootRegion, rootSide(sample.sPoints, 0), rootSide(sample.tPoints, band.d))
+      Array.tabulate(d)(dim => Attr.sorted[WPoint](pts, _.x(dim), _.weight)),
+      Array.tabulate(d)(dim => Attr.sorted[WPair](sample.pairs,
+        p => if (off == 0) p.s(dim) else p.t(dim), _.weight)),
+      off, pts.length, sample.pairs.length)
+    val root = newLeaf(rootRegion, rootSide(sample.sPoints, 0), rootSide(sample.tPoints, d))
 
     val input0 = (sample.sCount + sample.tCount).toDouble
-    val l0 = cfg.costModel.lowerBound(sample.sCount.toDouble, sample.tCount.toDouble,
-      sample.outputEstimate, cfg.w)
+    val out0 = sample.outputEstimate
+    val model = cfg.costModel
+    val l0 = model.lowerBound(sample.sCount.toDouble, sample.tCount.toDouble, out0, cfg.w)
+    // Under the applied rule, an iteration with input estimate I costs at
+    // least β0 + β1·I + (β2·I + β3·Ô)/w: its top worker's load is at least
+    // the average. No later iteration's I falls below Σ sW + tW over the
+    // live leaves, so once the bound at that sum exceeds the best
+    // objective no later iteration can win (DESIGN.md §6). The margin
+    // absorbs the sums' rounding.
+    val boundStops = cfg.termination == Termination.Applied &&
+      model.beta1 >= 0 && model.beta2 >= 0 && model.beta3 >= 0
+    def noLaterWin(best: Double): Boolean = boundStops && {
+      var floorI = 0.0
+      for (l <- live) floorI += l.sW + l.tW
+      model.beta0 + model.beta1 * floorI + model.lowerBound(floorI, 0, out0, cfg.w) >
+        best + 1e-9 * math.abs(best)
+    }
     val traj = Vector.newBuilder[IterStats]
     var stats = snapshot(live, input0, l0, cfg, 0)
     traj += stats
@@ -198,9 +274,9 @@ object RecPart {
         if (stats.loadOverhead < minLoadOH) minLoadOH = stats.loadOverhead
         // Duplication only grows; under the theoretical rule, once it
         // exceeds the best load overhead seen, no later iteration can
-        // win. The applied rule runs to the cap (DESIGN.md §6).
+        // win.
         done = stats.iter >= cap || (cfg.termination == Termination.Theoretical &&
-          stats.dupOverhead > minLoadOH)
+          stats.dupOverhead > minLoadOH) || noLaterWin(best.objective)
     }
     val trajectory = traj.result()
     RecPartResult(bestPart, trajectory.size - 1, best.iter,
@@ -226,9 +302,10 @@ object RecPart {
                            newLeaf: (Region, Side, Side) => Leaf): Unit = {
     val RegularSplit(dim, x, duplicateT) = sp
     val e = band.eps(dim)
-    val c = (if (duplicateT) leaf.s else leaf.t).off + dim
-    val (sL, sR) = leaf.s.split(dim, x, if (duplicateT) 0.0 else e, c)
-    val (tL, tR) = leaf.t.split(dim, x, if (duplicateT) e else 0.0, c)
+    // Pairs follow the partitioned side's coordinate.
+    val pairLeft = (if (duplicateT) leaf.s else leaf.t).pairsBelow(dim, x)
+    val (sL, sR) = leaf.s.split(dim, x, if (duplicateT) 0.0 else e, pairLeft)
+    val (tL, tR) = leaf.t.split(dim, x, if (duplicateT) e else 0.0, pairLeft)
     val (regL, regR) = leaf.region.split(dim, x)
     leaf.children = Some((sp, newLeaf(regL, sL, tL), newLeaf(regR, sR, tR)))
   }
@@ -288,19 +365,19 @@ object RecPart {
     while (i < a.length || j < b.length) {
       val v = // compare in the lists' sort order (NaN last), as `<=` does not
         if (j == b.length || i < a.length &&
-            java.lang.Double.compare(a(i).x(dim), b(j).x(dim)) <= 0) { i += 1; a(i - 1).x(dim) }
-        else { j += 1; b(j - 1).x(dim) }
+            java.lang.Double.compare(a.key(i), b.key(j)) <= 0) { i += 1; a.key(i - 1) }
+        else { j += 1; b.key(j - 1) }
       if (n == 0 || v != out(n - 1)) { out(n) = v; n += 1 }
     }
     java.util.Arrays.copyOf(out, n)
   }
 
-  /** Weight of a sorted list's entries whose coordinate `c` is below x, for rising x. */
-  private final class Below(list: Array[WPoint], c: Int) {
+  /** Weight of an attribute list's entries whose key is below x, for rising x. */
+  private final class Below(list: Attr) {
     private var j = 0
     private var acc = 0.0
     def apply(x: Double): Double = {
-      while (j < list.length && list(j).x(c) < x) { acc += list(j).weight; j += 1 }
+      while (j < list.length && list.key(j) < x) { acc += list.weight(j); j += 1 }
       acc
     }
   }
@@ -339,10 +416,10 @@ object RecPart {
       */
     final class Role(part: Side, dup: Side, dim: Int, duplicateT: Boolean) {
       private val e = band.eps(dim)
-      private val partLeft = new Below(part.pts(dim), dim)
-      private val dupLeft = new Below(dup.pts(dim), dim)
-      private val dupNotRight = new Below(dup.pts(dim), dim)
-      private val outLeft = new Below(part.pairs(dim), part.off + dim)
+      private val partLeft = new Below(part.pts(dim))
+      private val dupLeft = new Below(dup.pts(dim))
+      private val dupNotRight = new Below(dup.pts(dim))
+      private val outLeft = new Below(part.pairs(dim))
 
       def consider(x: Double): Unit = {
         val pL = partLeft(x)
@@ -388,14 +465,10 @@ object RecPart {
     */
   private def snapshot(leaves: Iterable[Leaf], input0: Double, l0: Double,
                        cfg: RecPartConfig, iter: Int): IterStats = {
-    val in = ArrayBuffer.empty[Double]
-    val out = ArrayBuffer.empty[Double]
+    val (in, out) = subs(leaves)
     var estI = 0.0
-    for (l <- leaves) {
-      estI += l.inputEst
-      l.addSubs(in, out)
-    }
-    val sched = Lpt.schedule(in.toArray, out.toArray, cfg.w, cfg.costModel)
+    for (l <- leaves) estI += l.inputEst
+    val sched = Lpt.schedule(in, out, cfg.w, cfg.costModel)
     val (im, om, lmX) = (sched.in(sched.top), sched.out(sched.top), sched.load(sched.top))
     val dupOH = if (input0 > 0) (estI - input0) / input0 else 0.0
     val loadOH = if (l0 > 0) (lmX - l0) / l0 else 0.0
@@ -408,19 +481,30 @@ object RecPart {
       predicted, objective)
   }
 
+  /** The input and output of each sub-partition of `leaves`, in order. */
+  private def subs(leaves: Iterable[Leaf]): (Array[Double], Array[Double]) = {
+    val n = leaves.iterator.map(l => l.r * l.c).sum
+    val (in, out) = (new Array[Double](n), new Array[Double](n))
+    var at = 0
+    for (l <- leaves) at = l.addSubs(in, out, at)
+    (in, out)
+  }
+
   private def materialize(root: Leaf, band: BandSpec, cfg: RecPartConfig): TreePartitioning = {
-    val in = ArrayBuffer.empty[Double]
-    val out = ArrayBuffer.empty[Double]
+    val leaves = ArrayBuffer.empty[Leaf]
+    var pids = 0
     def build(l: Leaf): SplitNode = l.children match {
       case Some((RegularSplit(dim, x, dupT), left, right)) =>
         InnerNode(dim, x, dupT, build(left), build(right))
       case None =>
-        val node = LeafNode(l.id, l.r, l.c, in.length)
-        l.addSubs(in, out)
+        val node = LeafNode(l.id, l.r, l.c, pids)
+        pids += l.r * l.c
+        leaves += l
         node
     }
     val tree = build(root)
-    val pidWorker = Lpt.schedule(in.toArray, out.toArray, cfg.w, cfg.costModel).worker
+    val (in, out) = subs(leaves)
+    val pidWorker = Lpt.schedule(in, out, cfg.w, cfg.costModel).worker
     TreePartitioning(tree, band, pidWorker, cfg.w)
   }
 }

@@ -157,42 +157,42 @@ object Samples {
                          seed: Long): (Seq[Ranked], Region) = {
     val d = dims.length
     val parts = dfs.zipWithIndex.map { case (df, side) =>
-      BandJoinExec.rows(df, dims)
-        .mapPartitionsWithIndex { (part, rows) =>
-          val rnd = rng(seed, side, part)
-          var kept = new Array[Double](d * math.min(cap, 1024))
-          val bounds = Region.noBounds(d)
-          var n = 0
-          var count = 0L
-          rows.foreach { r =>
-            BandJoinExec.id(r) // rejects a null id
-            count += 1
-            val slot =
-              if (n < cap) n
-              else if (cap == 0) -1
-              else { val j = rnd.nextLong(count); if (j < cap) j.toInt else -1 }
-            if (slot == n) {
-              if (kept.length < (n + 1) * d)
-                kept = Arrays.copyOf(kept, d * math.min(cap, 2 * (n + 1)))
-              n += 1
-            }
-            var i = 0
-            while (i < d) {
-              val x = BandJoinExec.attribute(r, dims, i)
-              Region.widen(bounds, i, x, x)
-              if (slot >= 0) kept(slot * d + i) = x
-              i += 1
-            }
+      val (in, cols) = BandJoinExec.rows(df, dims)
+      in.mapPartitionsWithIndex { (part, rows) =>
+        val rnd = rng(seed, side, part)
+        var kept = new Array[Double](d * math.min(cap, 1024))
+        val bounds = Region.noBounds(d)
+        var n = 0
+        var count = 0L
+        rows.foreach { r =>
+          cols.id(r) // rejects a null id
+          count += 1
+          val slot =
+            if (n < cap) n
+            else if (cap == 0) -1
+            else { val j = rnd.nextLong(count); if (j < cap) j.toInt else -1 }
+          if (slot == n) {
+            if (kept.length < (n + 1) * d)
+              kept = Arrays.copyOf(kept, d * math.min(cap, 2 * (n + 1)))
+            n += 1
           }
-          val tmp = new Array[Double](d)
-          for (i <- (0 until n).reverse) {
-            val j = rnd.nextInt(i + 1)
-            System.arraycopy(kept, i * d, tmp, 0, d)
-            System.arraycopy(kept, j * d, kept, i * d, d)
-            System.arraycopy(tmp, 0, kept, j * d, d)
+          var i = 0
+          while (i < d) {
+            val x = cols.attribute(r, i)
+            Region.widen(bounds, i, x, x)
+            if (slot >= 0) kept(slot * d + i) = x
+            i += 1
           }
-          Iterator(Kept(side, count, Arrays.copyOf(kept, n * d), bounds))
         }
+        val tmp = new Array[Double](d)
+        for (i <- (0 until n).reverse) {
+          val j = rnd.nextInt(i + 1)
+          System.arraycopy(kept, i * d, tmp, 0, d)
+          System.arraycopy(kept, j * d, kept, i * d, d)
+          System.arraycopy(tmp, 0, kept, j * d, d)
+        }
+        Iterator(Kept(side, count, Arrays.copyOf(kept, n * d), bounds))
+      }
     }
     val kept = dfs.head.sparkSession.sparkContext.union(parts).collect()
     val bounds = Region.noBounds(d)

@@ -3,6 +3,7 @@ package repro.exp
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.{BandSpec, CostModel, PartMetrics}
 import repro.data.BandSynth
+import scala.collection.concurrent.TrieMap
 import scala.collection.immutable.ListMap
 
 /** The paper's reported numbers for one strategy in one table row:
@@ -125,7 +126,13 @@ object PaperTables {
 
   // Each family's calibration (`*Eps`) picks band widths `m · base` whose
   // estimated output/input ratio on the family's default-size instance
-  // is `ratio` (DESIGN.md §3).
+  // is `ratio` (DESIGN.md §3). Several tables share a calibration, so
+  // each runs once per session and arguments.
+
+  private val calibrated = TrieMap.empty[(SparkSession, Any), BandSpec]
+
+  private def calibrate(spark: SparkSession, key: Any)(body: => BandSpec): BandSpec =
+    calibrated.getOrElseUpdate((spark, key), body)
 
   private def paretoPair(spark: SparkSession, rows: Long, z: Double, d: Int,
                          quantize: Double = 0.0): (DataFrame, DataFrame) = (
@@ -140,10 +147,11 @@ object PaperTables {
     ExpConfig(label, s, t, BandSynth.dims(d), band, w)
   }
 
-  private[exp] def paretoEps(spark: SparkSession, z: Double, d: Int, ratio: Double): BandSpec = {
-    val (s, t) = paretoPair(spark, Scales.ParetoRows, z, d)
-    Calibrate.epsForRatio(s, t, BandSynth.dims(d), Array.fill(d)(1.0), ratio)
-  }
+  private[exp] def paretoEps(spark: SparkSession, z: Double, d: Int, ratio: Double): BandSpec =
+    calibrate(spark, ("pareto", z, d, ratio)) {
+      val (s, t) = paretoPair(spark, Scales.ParetoRows, z, d)
+      Calibrate.epsForRatio(s, t, BandSynth.dims(d), Array.fill(d)(1.0), ratio)
+    }
 
   /** pareto-1.5 S against rv-pareto-1.5 T; band widths are the paper's. */
   private[exp] def rvPareto(spark: SparkSession, label: String, d: Int,
@@ -164,10 +172,11 @@ object PaperTables {
   }
 
   /** Time gets a wider base than latitude and longitude: days vs degrees. */
-  private[exp] def ebirdCloudEps(spark: SparkSession, ratio: Double): BandSpec = {
-    val (s, t) = ebirdCloudPair(spark, 1.0)
-    Calibrate.epsForRatio(s, t, BandSynth.dims(3), Array(10.0, 1.0, 1.0), ratio)
-  }
+  private[exp] def ebirdCloudEps(spark: SparkSession, ratio: Double): BandSpec =
+    calibrate(spark, ("ebird-cloud", ratio)) {
+      val (s, t) = ebirdCloudPair(spark, 1.0)
+      Calibrate.epsForRatio(s, t, BandSynth.dims(3), Array(10.0, 1.0, 1.0), ratio)
+    }
 
   private def ptfPair(spark: SparkSession): (DataFrame, DataFrame) = (
     BandSynth.ptf(spark, Scales.PtfRows, seed = 21),
@@ -179,8 +188,9 @@ object PaperTables {
     ExpConfig(label, s, t, BandSynth.dims(2), band, W)
   }
 
-  private[exp] def ptfEps(spark: SparkSession, ratio: Double): BandSpec = {
-    val (s, t) = ptfPair(spark)
-    Calibrate.epsForRatio(s, t, BandSynth.dims(2), Array(1.0, 1.0), ratio)
-  }
+  private[exp] def ptfEps(spark: SparkSession, ratio: Double): BandSpec =
+    calibrate(spark, ("ptf", ratio)) {
+      val (s, t) = ptfPair(spark)
+      Calibrate.epsForRatio(s, t, BandSynth.dims(2), Array(1.0, 1.0), ratio)
+    }
 }

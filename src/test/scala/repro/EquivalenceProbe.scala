@@ -7,7 +7,7 @@ import repro.core._
 import repro.data.BandSynth
 import scala.util.Random
 
-/** Prints one `probe <case> <md5>` line per case: digests of what the
+/** Prints `probe <case> result <md5>` lines: digests of what the
   * optimizer, the sampler and every partitioning strategy compute. Run it
   * at two commits and compare the output to show that a refactoring kept
   * results byte-identical:
@@ -16,12 +16,18 @@ import scala.util.Random
   * sbt "Test/runMain repro.EquivalenceProbe" | grep -o 'probe .*' > digests.txt
   * }}}
   *
+  * An optimizer case also prints a `probe <case> run <md5>` line. Its
+  * `result` line digests what the optimizer returns: the root, the worker
+  * map, the chosen iteration, its estimate and the trajectory up to it.
+  * The `run` line digests how far it ran: the iteration count and the
+  * whole trajectory. A change to when the loop stops moves only the run
+  * line.
+  *
   * Case sets:
   *  - `optimize/<k>`: `RecPart.optimize` on fixed-seed full samples (d 1–3;
   *    uniform, Pareto, clique and ε-lattice data with ±1e-17 and ±1-ulp
   *    jitter; ε = 0 dimensions; per-side non-integer weights; w 1–40;
-  *    random variant, termination rule and cost model): root, pidWorker,
-  *    chosen iteration, iterations, estimate and trajectory;
+  *    random variant, termination rule and cost model);
   *  - `draw/<workload>`: `Samples.draw` and `RecPart.optimize` on the
   *    benchmark's three workloads at data seed 1001 (kIn = kOut = 8000,
   *    draw seed 42, w = 30);
@@ -43,11 +49,15 @@ object EquivalenceProbe {
     def hex: String = md.digest().map(b => f"${b & 0xff}%02x").mkString
   }
 
-  private def emit(name: String, d: Digest): Unit = println(s"probe $name ${d.hex}")
+  private def emit(name: String, d: Digest): Unit = println(s"probe $name result ${d.hex}")
 
-  private def result(d: Digest, r: RecPartResult): Digest =
-    d.add(r.partitioning.root).add(r.partitioning.pidWorker.mkString(","))
-      .add(r.chosenIteration).add(r.iterations).add(r.est).add(r.trajectory.mkString(";"))
+  /** Emits the `result` line of `d` extended by `r`, and its `run` line. */
+  private def emitRun(name: String, d: Digest, r: RecPartResult): Unit = {
+    emit(name, d.add(r.partitioning.root).add(r.partitioning.pidWorker.mkString(","))
+      .add(r.chosenIteration).add(r.est).add(r.trajectory.take(r.chosenIteration + 1).mkString(";")))
+    val run = new Digest().add(r.iterations).add(r.trajectory.mkString(";"))
+    println(s"probe $name run ${run.hex}")
+  }
 
   // ----- optimize/<k> --------------------------------------------------
 
@@ -69,7 +79,7 @@ object EquivalenceProbe {
     }).map(_.map(v => if (rnd.nextBoolean()) jitter(rnd, v) else v))
   }
 
-  private def optimizeCase(k: Int): Digest = {
+  private def optimizeCase(k: Int): Unit = {
     val rnd = new Random(1000L + k)
     val d = 1 + rnd.nextInt(3)
     val family = rnd.nextInt(4)
@@ -96,12 +106,13 @@ object EquivalenceProbe {
     val cfg = RecPartConfig(1 + rnd.nextInt(40), symmetric = rnd.nextBoolean(), costModel = model,
       termination = if (rnd.nextBoolean()) Termination.Applied else Termination.Theoretical,
       gridFallback = rnd.nextBoolean())
-    result(new Digest, RecPart.optimize(sample, region, band, cfg))
+    emitRun(s"optimize/$k", new Digest, RecPart.optimize(sample, region, band, cfg))
   }
 
   // ----- draw/<workload> -----------------------------------------------
 
-  private def drawCase(d: Int, eps: Double, reverseT: Boolean, symmetric: Boolean): Digest = {
+  private def drawCase(name: String, d: Int, eps: Double, reverseT: Boolean,
+                       symmetric: Boolean): Unit = {
     val spark = SparkSpec.shared
     val s = BandSynth.pareto(spark, 100000L, 1.5, d, 1001).cache()
     val t = (if (reverseT) BandSynth.rvPareto(spark, 100000L, 1.5, d, 2002)
@@ -112,10 +123,9 @@ object EquivalenceProbe {
     for (p <- sample.sPoints ++ sample.tPoints) dg.bits(p.x).add(p.weight)
     for (p <- sample.pairs) dg.bits(p.s).bits(p.t).add(p.weight)
     dg.bits(sample.region.lo).bits(sample.region.hi)
-    result(dg, RecPart.optimize(sample, sample.region, band,
+    emitRun(s"draw/$name", dg, RecPart.optimize(sample, sample.region, band,
       RecPartConfig(30, symmetric = symmetric, gridFallback = symmetric)))
     s.unpersist(); t.unpersist()
-    dg
   }
 
   // ----- strategy/<instance>/<strategy> --------------------------------
@@ -149,11 +159,11 @@ object EquivalenceProbe {
   }
 
   def main(args: Array[String]): Unit = {
-    for (k <- 0 until 450) emit(s"optimize/$k", optimizeCase(k))
+    for (k <- 0 until 450) optimizeCase(k)
 
-    emit("draw/pareto3d", drawCase(3, 0.0352266860, reverseT = false, symmetric = false))
-    emit("draw/pareto8d", drawCase(8, 0.2717674173, reverseT = false, symmetric = true))
-    emit("draw/rvpareto3d", drawCase(3, 1000.0, reverseT = true, symmetric = true))
+    drawCase("pareto3d", 3, 0.0352266860, reverseT = false, symmetric = false)
+    drawCase("pareto8d", 8, 0.2717674173, reverseT = false, symmetric = true)
+    drawCase("rvpareto3d", 3, 1000.0, reverseT = true, symmetric = true)
 
     for ((name, s0, t0, dims, band) <- TestData.instances(SparkSpec.shared)) {
       val (s, t) = (s0.cache(), t0.cache())

@@ -106,6 +106,60 @@ class LocalJoinTest extends AnyFunSuite {
     }, minTests = 200)
   }
 
+  /** Points that stress the cell signature: most sit in one of three
+    * clusters (around 0, or 300 cells up or down, so a dimension's cells
+    * span far more than 127) on a lattice of pitch ε, so neighbours are
+    * exactly ε apart; some coordinates are ±Inf, NaN, or ±1e300, whose
+    * cell at ε = 1e-300 is outside the `Long` range.
+    */
+  private def wildPoints(band: BandSpec): Gen[Array[Array[Double]]] = {
+    val pitch = band.eps.map(e => if (e == 0 || e.isInfinite) 1.0 else e)
+    val wild = Gen.oneOf(Double.PositiveInfinity, Double.NegativeInfinity, Double.NaN, 1e300, -1e300)
+    val point = for {
+      cluster <- Gen.frequency(3 -> 0, 1 -> 300, 1 -> -300)
+      steps <- Gen.listOfN(band.d, Gen.choose(0, 1))
+      nudge <- Gen.listOfN(band.d, Gen.frequency(6 -> 0, 1 -> 1, 1 -> -1))
+      spoilt <- Gen.frequency(3 -> -1, 1 -> Gen.choose(0, band.d - 1))
+      w <- wild
+    } yield Array.tabulate(band.d) { i =>
+      val v = (cluster + steps(i)) * pitch(i)
+      if (i == spoilt) w
+      else if (nudge(i) > 0) Math.nextUp(v)
+      else if (nudge(i) < 0) Math.nextDown(v)
+      else v
+    }
+    Gen.choose(0, 30).flatMap(n => Gen.listOfN(n, point)).map(_.toArray)
+  }
+
+  private val wildInstance = for {
+    d <- Gen.choose(1, 12)
+    eps <- Gen.listOfN(d, Gen.frequency(
+      1 -> Gen.const(0.0), 1 -> Gen.const(Double.PositiveInfinity), 1 -> Gen.const(1e-300),
+      4 -> Gen.oneOf(0.1, 0.25, 1.0), 2 -> Gen.choose(0.01, 2.0)))
+    band = BandSpec(eps.toArray)
+    s <- wildPoints(band)
+    t <- wildPoints(band)
+  } yield (s, t, band)
+
+  test("property: d up to 12, ±Inf, NaN, cells outside Long and spans over 127 cells equal brute force") {
+    Props.hold(Prop.forAll(wildInstance) { case (s, t, b) =>
+      val out = LocalJoin.join(s, t, b)
+      val truth = brute(s, t, b)
+      Prop(out.length == out.toSet.size && out.toSet == truth) :| s"$b: ${out.length} vs ${truth.size}"
+    }, minTests = 400)
+  }
+
+  test("the match order of a fixed instance is pinned") {
+    // Eight dimensions: A1, two grid dimensions and five signature lanes.
+    val rnd = new scala.util.Random(19)
+    def pts(n: Int) = Array.fill(n)(Array.fill(8)(math.round(rnd.nextDouble() * 6) / 4.0))
+    val (s, t) = (pts(30), pts(30))
+    val order = LocalJoin.join(s, t, BandSpec.uniform(8, 0.5)).map { case (i, j) => s"$i:$j" }
+    // Captured before the signature filter: it only skips non-matches.
+    assert(order.mkString(" ") ==
+      "0:23 1:0 5:24 5:28 6:20 8:27 8:21 8:10 11:1 14:2 17:1 20:16 20:21 20:15 22:4 22:23 26:29 29:12 29:3")
+  }
+
   test("pairs exactly ε apart across cell boundaries and zero are all found") {
     // Lattice of pitch ε around 0 and around 1e6: every neighbour pair is
     // ε apart in a grid dimension, and s − t rounds in both directions.
@@ -125,6 +179,14 @@ class LocalJoinTest extends AnyFunSuite {
     val t = Array(Array(-1e-17, 0.0), Array(0.0, -1e-17), Array(-1e-17, -1e-17))
     assert(t.forall(b.matches(s(0), _)))
     assert(LocalJoin.join(s, t, b).toSet == Set((0, 0), (0, 1), (0, 2)))
+  }
+
+  test("an infinite coordinate matches every finite one at ε = ∞, in A1 too") {
+    val b = BandSpec(Array(Double.PositiveInfinity, 1.0))
+    val s = Array(Array(Double.NegativeInfinity, 0.0), Array(Double.PositiveInfinity, 0.0), Array(3.0, 0.0))
+    val t = Array(Array(5.0, 0.5), Array(Double.PositiveInfinity, 0.0), Array(Double.NaN, 0.0))
+    assert(LocalJoin.join(s, t, b).toSet == brute(s, t, b))
+    assert(brute(s, t, b) == Set((0, 0), (0, 1), (1, 0), (2, 0), (2, 1)))
   }
 
   test("NaN coordinates match nothing") {

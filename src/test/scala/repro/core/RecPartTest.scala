@@ -173,28 +173,33 @@ class RecPartTest extends AnyFunSuite {
     // scoring, tie-breaking, leaf numbering or winner selection shows up.
     def lattice(rnd: scala.util.Random, n: Int, d: Int, f: Double => Double): Seq[Array[Double]] =
       Seq.fill(n)(Array.fill(d)(math.round(f(rnd.nextDouble()) * 10) / 10.0))
+    // `ran`: the iterations run; the cap is max(12·w, 80).
     def check(s: Seq[Array[Double]], t: Seq[Array[Double]], band: BandSpec, cfg: RecPartConfig,
               sW: Double = 1.0, tW: Double = 1.0)(
-        root: SplitNode, pidWorker: Seq[Int], chosen: Int, est: IterStats): Unit = {
+        root: SplitNode, pidWorker: Seq[Int], chosen: Int, ran: Int, est: IterStats): Unit = {
       val res = RecPart.optimize(fullSampleN(s, t, band, sW, tW), region(s ++ t, band.d), band, cfg)
       assert(res.partitioning.root == root)
       assert(res.partitioning.pidWorker.toSeq == pidWorker)
       assert(res.chosenIteration == chosen)
+      assert(res.iterations == ran)
       assert(res.est == est)
     }
 
-    // RecPart-S, applied rule: the winner is iteration 2 of 80.
+    // RecPart-S, applied rule: the winner is iteration 2; the loop stops
+    // after 7 (its cap is 80).
     val rndA = new scala.util.Random(11)
     check(lattice(rndA, 40, 2, _ * 10), lattice(rndA, 40, 2, _ * 10), BandSpec(Array(0.8, 0.8)),
       RecPartConfig(3, symmetric = false))(
       InnerNode(0, 6.800000000000001, true,
         InnerNode(1, 4.800000000000001, true, LeafNode(3, 1, 1, 0), LeafNode(4, 1, 1, 1)),
         LeafNode(2, 1, 1, 2)),
-      Seq(1, 0, 2), 2,
+      Seq(1, 0, 2), 2, 7,
       IterStats(2, 3, 84.0, 30.0, 17.0, 137.0, 0.05, 0.15126050420168066, 221.0, 221.0))
 
     // Symmetric RecPart with the grid fallback: an output clique at (1, 1)
-    // ends in a 2x2 grid leaf; S-splits and T-splits both occur.
+    // ends in a 2x2 grid leaf; S-splits and T-splits both occur. A later
+    // split of a grid leaf may drop its copies, so the stop's bound leaves
+    // them out, stays below the best, and the loop runs to its cap of 80.
     val rndB = new scala.util.Random(7)
     def clique() = Seq.fill(20)(Array(1.0, 1.0)) ++ Seq(Array(1.3, 1.2)) ++ lattice(rndB, 12, 2, _ * 10)
     check(clique(), clique(), BandSpec(Array(0.5, 0.5)),
@@ -204,7 +209,7 @@ class RecPartTest extends AnyFunSuite {
         InnerNode(1, 5.9, false,
           InnerNode(0, 6.55, true, LeafNode(7, 1, 1, 5), LeafNode(8, 1, 1, 6)),
           LeafNode(6, 1, 1, 7))),
-      Seq(0, 1, 2, 3, 3, 1, 2, 0), 8,
+      Seq(0, 1, 2, 3, 3, 1, 2, 0), 8, 80,
       IterStats(8, 8, 108.0, 31.0, 111.25, 235.25, 0.6363636363636364, 0.3328611898016997,
         343.25, 343.25))
 
@@ -217,7 +222,7 @@ class RecPartTest extends AnyFunSuite {
           InnerNode(0, 4.9, true, LeafNode(7, 1, 1, 1), LeafNode(8, 1, 1, 2))),
         InnerNode(0, 20.85, true, LeafNode(5, 1, 1, 3),
           InnerNode(0, 25.6, true, LeafNode(9, 1, 1, 4), LeafNode(10, 1, 1, 5)))),
-      Seq(0, 2, 3, 1, 2, 3), 5,
+      Seq(0, 2, 3, 1, 2, 3), 5, 17,
       IterStats(5, 6, 40.0, 11.0, 2.0, 46.0, 0.0, 0.045454545454545456, 86.0,
         0.045454545454545456))
 
@@ -236,7 +241,7 @@ class RecPartTest extends AnyFunSuite {
             LeafNode(6, 1, 1, 10)),
           LeafNode(4, 1, 1, 11)),
         InnerNode(0, 3.65, false, LeafNode(11, 1, 1, 12), LeafNode(12, 1, 1, 13))),
-      Seq(8, 8, 0, 1, 2, 3, 4, 5, 6, 7, 8, 8, 8, 8), 20,
+      Seq(8, 8, 0, 1, 2, 3, 4, 5, 6, 7, 8, 8, 8, 8), 20, 108,
       IterStats(20, 14, 930.9000000000002, 74.40000000000003, 1184.6250000000018,
         1482.225000000002, 0.7630681818181823, 0.14072881660295983, 2413.1250000000023,
         2413.1250000000023))
@@ -244,7 +249,7 @@ class RecPartTest extends AnyFunSuite {
     // A score tie: the root splits between two translated copies of one
     // integer-lattice cluster, so its children 1 and 2 score exactly
     // equal. The child made first splits first (into 3 and 4, before 2
-    // into 5 and 6), and so on down; the winner is iteration 5 of 80.
+    // into 5 and 6), and so on down; the winner is iteration 5 of 8.
     val rndE = new scala.util.Random(5)
     def twoCopies() = {
       val c = Seq.fill(30)(Array.fill(2)(rndE.nextInt(8).toDouble))
@@ -256,9 +261,77 @@ class RecPartTest extends AnyFunSuite {
           InnerNode(1, 1.5, true, LeafNode(7, 1, 1, 1), LeafNode(8, 1, 1, 2))),
         InnerNode(0, 102.5, true, LeafNode(5, 1, 1, 3),
           InnerNode(1, 1.5, true, LeafNode(9, 1, 1, 4), LeafNode(10, 1, 1, 5)))),
-      Seq(2, 2, 0, 3, 3, 1), 5,
+      Seq(2, 2, 0, 3, 3, 1), 5, 8,
       IterStats(5, 6, 130.0, 36.0, 48.0, 192.0, 0.08333333333333333, 0.1394658753709199,
         322.0, 322.0))
+  }
+
+  test("the applied rule stops once a lower bound on every later iteration exceeds the best") {
+    // β0 + β1·I + (β2·I + β3·Ô)/w bounds an iteration's objective from
+    // below. With no 1-Bucket leaf (none is small here, and the grid
+    // fallback is off) I is the live leaves' own S and T weight, below
+    // which no later iteration's I falls; the loop stops at the first
+    // iteration where the bound exceeds the best objective so far.
+    val rnd = new scala.util.Random(67)
+    val s = Seq.fill(200)(Array(rnd.nextDouble() * 20, math.pow(rnd.nextDouble(), 3) * 20))
+    val t = Seq.fill(200)(Array(rnd.nextDouble() * 20, math.pow(rnd.nextDouble(), 3) * 20))
+    val band = BandSpec(Array(0.4, 0.4))
+    val sample = fullSampleN(s, t, band)
+    for (model <- Seq(CostModel.default, CostModel(5, 0.5, 3, 2)); w <- Seq(4, 12)) {
+      val res = RecPart.optimize(sample, region(s ++ t, 2), band, RecPartConfig(w, costModel = model))
+      def bound(st: IterStats) = model.beta0 + model.beta1 * st.estI +
+        (model.beta2 * st.estI + model.beta3 * sample.outputEstimate) / w
+      val best = res.trajectory.scanLeft(Double.PositiveInfinity)((b, st) => math.min(b, st.objective)).tail
+      val exceeds = res.trajectory.indices.map(i => bound(res.trajectory(i)) > best(i) * (1 + 1e-9))
+      assert(res.iterations < math.max(12 * w, 80), s"$model, w = $w")
+      assert(exceeds.indexOf(true) == res.iterations, s"$model, w = $w")
+      for (st <- res.trajectory) assert(st.objective >= bound(st) * (1 - 1e-9), s"$model, w = $w: $st")
+    }
+  }
+
+  test("property: the stop keeps the winner of a run to the cap, split grid leaves included") {
+    // β1 = −1e-300 turns the stop off without changing a score or an
+    // objective (β1·I vanishes next to β2·Im), so that run is the reference.
+    val rnd = new scala.util.Random(71)
+    for (c <- 0 until 150) {
+      val d = 1 + rnd.nextInt(3)
+      val centre = Array.fill(d)(rnd.nextDouble() * 10)
+      def pts(n: Int) = Seq.fill(n)(
+        if (rnd.nextInt(3) == 0) centre.map(_ + rnd.nextDouble() * 0.1)
+        else Array.fill(d)(math.round(math.pow(rnd.nextDouble(), 2) * 100) / 10.0))
+      val band = BandSpec(Array.fill(d)(0.2 + rnd.nextDouble()))
+      val (s, t) = (pts(20 + rnd.nextInt(100)), pts(20 + rnd.nextInt(100)))
+      val sample = fullSampleN(s, t, band, 1 + rnd.nextDouble(), 1 + rnd.nextDouble())
+      val cfg = RecPartConfig(2 + rnd.nextInt(30), symmetric = rnd.nextBoolean(),
+        costModel = CostModel(0, 0, 4, 1), gridFallback = rnd.nextInt(4) > 0)
+      val stopped = RecPart.optimize(sample, region(s ++ t, d), band, cfg)
+      val full = RecPart.optimize(sample, region(s ++ t, d), band,
+        cfg.copy(costModel = CostModel(0, -1e-300, 4, 1)))
+      assert(stopped.partitioning.root == full.partitioning.root, s"case $c")
+      assert(stopped.partitioning.pidWorker.toSeq == full.partitioning.pidWorker.toSeq, s"case $c")
+      assert(stopped.chosenIteration == full.chosenIteration, s"case $c")
+      assert(stopped.trajectory == full.trajectory.take(stopped.iterations + 1), s"case $c")
+    }
+  }
+
+  test("the bound never stops the theoretical rule, nor a model with a negative β") {
+    val rndA = new scala.util.Random(11)
+    def lattice(n: Int) = Seq.fill(n)(Array.fill(2)(math.round(rndA.nextDouble() * 100) / 10.0))
+    val (s, t) = (lattice(40), lattice(40))
+    val band = BandSpec(Array(0.8, 0.8))
+    val sample = fullSampleN(s, t, band)
+    val reg = region(s ++ t, 2)
+    // The pinned RecPart-S case: with β1 = −1 it runs to its cap of 80.
+    val negative = RecPart.optimize(sample, reg, band,
+      RecPartConfig(3, symmetric = false, costModel = CostModel(0, -1, 4, 1)))
+    assert(negative.iterations == 80)
+    // The theoretical rule stops at the first iteration whose duplication
+    // overhead exceeds the lowest load overhead so far, and not before.
+    val theo = RecPart.optimize(sample, reg, band,
+      RecPartConfig(3, symmetric = false, termination = Termination.Theoretical))
+    val traj = theo.trajectory
+    val minLoad = traj.scanLeft(Double.PositiveInfinity)((m, st) => math.min(m, st.loadOverhead)).tail
+    assert(traj.indices.indexWhere(i => traj(i).dupOverhead > minLoad(i)) == theo.iterations)
   }
 
   test("the chosen estimate of I equals the weighted input the partitioning routes") {

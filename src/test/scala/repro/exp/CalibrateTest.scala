@@ -16,6 +16,13 @@ class CalibrateTest extends SparkSpec {
     assert(ratio > target / 2 && ratio < target * 2, s"ratio=$ratio eps=${band.eps(0)}")
   }
 
+  test("the tables calibrate a family's band once per session and arguments") {
+    val first = PaperTables.paretoEps(spark, 1.5, 1, 2.0)
+    var again: BandSpec = null
+    assert(sparkJobs { again = PaperTables.paretoEps(spark, 1.5, 1, 2.0) } == 0)
+    assert(again eq first)
+  }
+
   test("epsForRatio scales all dimensions by the same multiplier") {
     val s = TestData.randomDf(spark, 1000, 2, 3).cache()
     val t = TestData.randomDf(spark, 1000, 2, 4).cache()
