@@ -26,9 +26,6 @@ import repro.core._
   *
   * The result is a `MatrixCover`: S routes by row, T by column.
   */
-final case class CsIoResult(part: MatrixCover, optTimeMs: Double,
-                            numRegions: Int, numCandidateCells: Int)
-
 object CsIo {
 
   /** Lexicographic (row-major, §5.2) comparison of attribute points. */
@@ -108,26 +105,26 @@ object CsIo {
 
   /** The candidate columns of each row, ascending: the non-empty ranges
     * `cols(j)` whose box comes within the band of non-empty `rows(i)`'s
-    * box in every dimension of `band`. It keeps every pair of ranges that
-    * holds a joining pair, up to rounding in `lo - ε`: a pair exactly ε
-    * apart can be dropped.
+    * box in every dimension of `band`. A dimension's gap is the distance
+    * of the boxes' nearest ends, rounded as `BandSpec.matches` rounds it;
+    * rounding is monotone, so no two values farther apart can match, and
+    * every pair of ranges that holds a joining pair is kept.
     */
   private[baselines] def boxesJoinable(rows: Array[RangeStats], cols: Array[RangeStats],
                                        band: BandSpec): Array[Array[Int]] = {
     def joinable(a: RangeStats, b: RangeStats): Boolean =
       a.count > 0 && b.count > 0 && (0 until band.d).forall(i =>
-        !(a.lo(i) - band.eps(i) > b.hi(i) || b.lo(i) - band.eps(i) > a.hi(i)))
+        !(a.lo(i) - b.hi(i) > band.eps(i) || b.lo(i) - a.hi(i) > band.eps(i)))
     rows.map(a => cols.indices.filter(j => joinable(a, cols(j))).toArray)
   }
 
-  /** Build the CS_IO partitioning. `g0` = number of quantile ranges per
-    * input (0 picks `min(192, max(2w, 48))`).
+  /** Build the CS_IO partitioning, with `min(192, max(2w, 48))` quantile
+    * ranges per input.
     */
   def build(s: DataFrame, t: DataFrame, dims: Seq[String], band: BandSpec,
-            w: Int, sample: JoinSample, g0: Int = 0): CsIoResult = {
-    val t0 = System.nanoTime()
+            w: Int, sample: JoinSample): MatrixCover = {
     val load = CostModel.default
-    val g = if (g0 > 0) g0 else math.min(192, math.max(2 * w, 48))
+    val g = math.min(192, math.max(2 * w, 48))
 
     val sBounds = quantileBounds(sample.sPoints, g)
     val tBounds = quantileBounds(sample.tPoints, g)
@@ -136,7 +133,6 @@ object CsIo {
     val outW = MatrixCover.cellOutput(sample.pairs, sBounds, tBounds, g)
 
     val relByRow = boxesJoinable(sStats, tStats, band)
-    val numCells = relByRow.map(_.length).sum
 
     // ----- M-Bucket-I covering -------------------------------------------
     // Regions are RECTANGLES (row interval × column interval) and every
@@ -232,9 +228,7 @@ object CsIo {
       (r, k) <- regions.zipWithIndex; i <- r.r1 to r.r2
       j <- relByRow(i) if r.c1 <= j && j <= r.c2
     } yield (i.toLong * g + j) -> k).toMap
-    val part = MatrixCover(sBounds, tBounds, g, cellRegion,
+    MatrixCover(sBounds, tBounds, g, cellRegion,
       regions.map(_.in).toArray, regions.map(_.out).toArray, w)
-    val ms = (System.nanoTime() - t0) / 1e6
-    CsIoResult(part, ms, regions.length, numCells)
   }
 }

@@ -18,8 +18,7 @@ object GridStar {
   final case class Eval(multiplier: Int, estI: Double, estIm: Double,
                         estOm: Double, predicted: Double)
 
-  final case class Result(part: GridEps, chosen: Eval, sweep: Seq[Eval],
-                          optTimeMs: Double)
+  final case class Result(part: GridEps, chosen: Eval, sweep: Seq[Eval])
 
   /** Sample-estimated (I, Im, Om) and model prediction for grid j·ε. */
   def evaluate(band: BandSpec, w: Int, j: Int, sample: JoinSample,
@@ -52,7 +51,6 @@ object GridStar {
 
   /** Search the multiplier minimizing M and return the tuned Grid-ε. */
   def tune(band: BandSpec, w: Int, sample: JoinSample): Result = {
-    val t0 = System.nanoTime()
     val sweep = scala.collection.mutable.ArrayBuffer.empty[Eval]
     def eval(j: Int): Eval = {
       val e = evaluate(band, w, j, sample, CostModel.default)
@@ -82,7 +80,6 @@ object GridStar {
       }
       k += step
     }
-    val ms = (System.nanoTime() - t0) / 1e6
-    Result(GridEps(band, w, best.multiplier), best, sweep.toSeq, ms)
+    Result(GridEps(band, w, best.multiplier), best, sweep.toSeq)
   }
 }

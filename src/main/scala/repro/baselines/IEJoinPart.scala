@@ -19,11 +19,10 @@ import repro.core._
 object IEJoinPart {
 
   /** Build the partitioning for a given `sizePerBlock`, with one Spark
-    * job. Returns the partitioning and its optimization time.
+    * job.
     */
   def build(s: DataFrame, t: DataFrame, dims: Seq[String], band: BandSpec,
-            w: Int, sizePerBlock: Int, sample: JoinSample): (MatrixCover, Double) = {
-    val t0 = System.nanoTime()
+            w: Int, sizePerBlock: Int, sample: JoinSample): MatrixCover = {
     // One-element bounds at the sample's A1 quantiles: the blocks are A1 ranges.
     def blocks(pts: Array[WPoint], n: Long): Array[Array[Double]] =
       CsIo.quantileBounds(pts.map(p => WPoint(Array(p.x(0)), p.weight)),
@@ -36,9 +35,8 @@ object IEJoinPart {
     val outW = MatrixCover.cellOutput(sample.pairs, sBounds, tBounds, nT)
     val tasks = CsIo.boxesJoinable(sStats, tStats, BandSpec(band.eps.take(1))).zipWithIndex
       .flatMap { case (cols, i) => cols.map(i.toLong * nT + _) }
-    val part = MatrixCover(sBounds, tBounds, nT, tasks.zipWithIndex.toMap,
+    MatrixCover(sBounds, tBounds, nT, tasks.zipWithIndex.toMap,
       tasks.map(c => (sStats((c / nT).toInt).count + tStats((c % nT).toInt).count).toDouble),
       tasks.map(outW.getOrElse(_, 0.0)), w)
-    (part, (System.nanoTime() - t0) / 1e6)
   }
 }

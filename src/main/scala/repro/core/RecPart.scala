@@ -47,7 +47,6 @@ final case class RecPartResult(
     partitioning: TreePartitioning,
     iterations: Int,
     chosenIteration: Int,
-    optTimeMs: Double,
     est: IterStats,
     trajectory: Vector[IterStats])
 
@@ -202,7 +201,6 @@ object RecPart {
     */
   def optimize(sample: JoinSample, rootRegion: Region, band: BandSpec,
                cfg: RecPartConfig): RecPartResult = {
-    val t0 = System.nanoTime()
     val k = variancePrefactor(cfg.w)
     val minDup = dupFloor(sample)
     // The live leaves in the order they were made: Algorithm 1's queue.
@@ -279,8 +277,7 @@ object RecPart {
           stats.dupOverhead > minLoadOH) || noLaterWin(best.objective)
     }
     val trajectory = traj.result()
-    RecPartResult(bestPart, trajectory.size - 1, best.iter,
-      (System.nanoTime() - t0) / 1e6, best, trajectory)
+    RecPartResult(bestPart, trajectory.size - 1, best.iter, best, trajectory)
   }
 
   /** Exact per-dimension min/max over S ∪ T, from one Spark job without

@@ -51,13 +51,21 @@ object SplitTree {
   def colOf(leaf: LeafNode, salt: Long): Int =
     math.floorMod(mix(salt ^ (leaf.leafId.toLong << 32) ^ 0xC011L), leaf.c).toInt
 
-  /** A tuple at v, copied within `reach` of a split at x, goes left (`A_dim < x`). */
-  def reachesLeft(v: Double, x: Double, reach: Double): Boolean = v - reach < x
-
-  /** A tuple at v, copied within `reach` of a split at x, goes right; so
-    * does NaN, as at a split that partitions its side (`A_dim < x` fails).
+  /** A tuple at v, copied within `reach` of a split at x, goes left
+    * (`A_dim < x`) iff some left value u matches it, `|v − u| <= reach`
+    * as `BandSpec.matches` rounds it. Rounding is monotone, so the left
+    * value nearest to a v right of the split, `nextDown(x)`, decides.
     */
-  def reachesRight(v: Double, x: Double, reach: Double): Boolean = !(v + reach < x)
+  def reachesLeft(v: Double, x: Double, reach: Double): Boolean =
+    v < x || v - Math.nextDown(x) <= reach
+
+  /** A tuple at v, copied within `reach` of a split at x, goes right iff
+    * some right value matches it; for a v left of the split, x is the
+    * nearest. NaN goes right, as at a split that partitions its side
+    * (`A_dim < x` fails).
+    */
+  def reachesRight(v: Double, x: Double, reach: Double): Boolean =
+    !(v < x) || x - v <= reach
 
   /** Algorithm 3 for an S-tuple. */
   def assignS(root: SplitNode, band: BandSpec, x: Array[Double], salt: Long): Array[Int] =

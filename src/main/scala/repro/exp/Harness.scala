@@ -22,18 +22,9 @@ final case class ExpConfig(
   */
 final class PreparedExp(val cfg: ExpConfig, val sample: JoinSample,
                         val pairs: Dataset[PairRow], val sampleSeed: Long) {
-  def metrics(part: BandPartitioning): PartMetrics =
-    Metrics.compute(cfg.s, cfg.t, cfg.dims, part, pairs)
-
   /** The same experiment with its statistics sample drawn from `seed`. */
   def withSampleSeed(seed: Long): PreparedExp = new PreparedExp(cfg,
     Samples.draw(cfg.s, cfg.t, cfg.dims, cfg.band, cfg.kIn, cfg.kOut, seed), pairs, seed)
-}
-
-/** Outcome of running one strategy on one experiment. */
-final case class StrategyResult(name: String, optMs: Double, m: PartMetrics, sampleSeed: Long) {
-  /** `CostModel.default` on the exact (I, Im, Om). */
-  def predicted: Double = CostModel.default.predict(m.i.toDouble, m.im.toDouble, m.om.toDouble)
 }
 
 /** Shared experiment harness used by the paper tables: prepares a config
@@ -55,75 +46,73 @@ object Harness {
   }
 
   /** The one runner of the paper tables: prepares `cfg`, runs the
-    * `strategies` a table asks for on it and returns one row per result,
-    * with the paper's numbers from `paper` (see `TableRow.paperCell`).
+    * `strategies` a table asks for on it and returns their rows, with the
+    * paper's numbers from `paper` (see `TableRow.paperCell`) and `rel`.
     * S, T and the pair set are unpersisted on the way out, also when a
     * strategy throws.
     */
   def run(cfg: ExpConfig, paper: Map[String, PaperNums] = Map.empty)(
-      strategies: PreparedExp => Seq[StrategyResult]): Seq[TableRow] =
+      strategies: PreparedExp => Seq[TableRow]): Seq[TableRow] =
     try {
       val prep = prepare(cfg)
-      try TableRow.relToRecPart(strategies(prep).map { r =>
-        TableRow.of(cfg.label, r.name, cfg.band, cfg.w, Some(r.sampleSeed), r.m,
-          TableRow.paperCell(paper, r.name), Timing(optMs = Some(r.optMs)))
-      }) finally prep.pairs.unpersist()
+      try TableRow.relToRecPart(strategies(prep).map(r =>
+        r.copy(paper = TableRow.paperCell(paper, r.strategy))))
+      finally prep.pairs.unpersist()
     } finally {
       cfg.s.unpersist(); cfg.t.unpersist()
     }
 
-  private def finish(prep: PreparedExp, name: String, part: BandPartitioning,
-                     optMs: Double): StrategyResult =
-    StrategyResult(name, optMs, prep.metrics(part), prep.sampleSeed)
+  /** The one place a strategy run is timed and measured: `opt_ms` is the
+    * wall time of `build`, and the row's metrics are exact against the
+    * prepared pair set. `name` may read the partitioning (Grid*'s
+    * multiplier).
+    */
+  private def row[P <: BandPartitioning](prep: PreparedExp, build: => P)(
+      name: P => String): TableRow = {
+    val t0 = System.nanoTime()
+    val part = build
+    val optMs = (System.nanoTime() - t0) / 1e6
+    val cfg = prep.cfg
+    TableRow.of(cfg.label, name(part), cfg.band, cfg.w, Some(prep.sampleSeed),
+      Metrics.compute(cfg.s, cfg.t, cfg.dims, part, prep.pairs), None, Timing(optMs = Some(optMs)))
+  }
 
   /** RecPart (symmetric = true) or RecPart-S (symmetric = false). */
   def recPart(prep: PreparedExp, symmetric: Boolean,
               termination: Termination = Termination.Applied,
-              model: CostModel = CostModel.default): StrategyResult = {
-    val cfg = prep.cfg
+              model: CostModel = CostModel.default): TableRow = {
     // The full (symmetric) RecPart also gets the guarded 1-Bucket
     // fallback for wedged leaves — same spirit of flexible split choice.
     // RecPart-S stays strictly by the paper so Table 9's ablation of
     // symmetric partitioning keeps its meaning (DESIGN.md §6).
-    val rc = RecPartConfig(cfg.w, symmetric = symmetric, costModel = model,
+    val rc = RecPartConfig(prep.cfg.w, symmetric = symmetric, costModel = model,
       termination = termination, gridFallback = symmetric)
-    val res = RecPart.optimize(prep.sample, prep.sample.region, cfg.band, rc)
-    finish(prep, if (symmetric) "RecPart" else "RecPart-S", res.partitioning, res.optTimeMs)
+    row(prep, RecPart.optimize(prep.sample, prep.sample.region, prep.cfg.band, rc).partitioning)(
+      _ => if (symmetric) "RecPart" else "RecPart-S")
   }
 
-  def csIo(prep: PreparedExp): StrategyResult = {
+  def csIo(prep: PreparedExp): TableRow = {
     val cfg = prep.cfg
-    val r = CsIo.build(cfg.s, cfg.t, cfg.dims, cfg.band, cfg.w, prep.sample)
-    finish(prep, "CS_IO", r.part, r.optTimeMs)
+    row(prep, CsIo.build(cfg.s, cfg.t, cfg.dims, cfg.band, cfg.w, prep.sample))(_ => "CS_IO")
   }
 
-  def oneBucket(prep: PreparedExp): StrategyResult = {
-    val t0 = System.nanoTime()
-    val part = OneBucket.forWorkers(prep.cfg.w)
-    finish(prep, "1-Bucket", part, (System.nanoTime() - t0) / 1e6)
-  }
+  def oneBucket(prep: PreparedExp): TableRow =
+    row(prep, OneBucket.forWorkers(prep.cfg.w))(_ => "1-Bucket")
 
   /** Grid-ε — None when any band width is zero (N/A in the paper). */
-  def gridEps(prep: PreparedExp, multiplier: Double = 1.0): Option[StrategyResult] =
+  def gridEps(prep: PreparedExp, multiplier: Double = 1.0): Option[TableRow] =
     if (prep.cfg.band.eps.exists(_ <= 0)) None
-    else {
-      val t0 = System.nanoTime()
-      val part = GridEps(prep.cfg.band, prep.cfg.w, multiplier)
-      Some(finish(prep, if (multiplier == 1.0) "Grid-eps" else f"Grid(x$multiplier%.1f)",
-        part, (System.nanoTime() - t0) / 1e6))
-    }
+    else Some(row(prep, GridEps(prep.cfg.band, prep.cfg.w, multiplier))(_ =>
+      if (multiplier == 1.0) "Grid-eps" else f"Grid(x$multiplier%.1f)"))
 
-  def gridStar(prep: PreparedExp): Option[StrategyResult] =
+  def gridStar(prep: PreparedExp): Option[TableRow] =
     if (prep.cfg.band.eps.exists(_ <= 0)) None
-    else {
-      val r = GridStar.tune(prep.cfg.band, prep.cfg.w, prep.sample)
-      Some(finish(prep, s"Grid*(x${r.chosen.multiplier})", r.part, r.optTimeMs))
-    }
+    else Some(row(prep, GridStar.tune(prep.cfg.band, prep.cfg.w, prep.sample).part)(g =>
+      s"Grid*(x${g.multiplier.toInt})"))
 
-  def ieJoin(prep: PreparedExp, sizePerBlock: Int): StrategyResult = {
+  def ieJoin(prep: PreparedExp, sizePerBlock: Int): TableRow = {
     val cfg = prep.cfg
-    val (part, ms) = IEJoinPart.build(cfg.s, cfg.t, cfg.dims, cfg.band, cfg.w,
-      sizePerBlock, prep.sample)
-    finish(prep, s"IEJoin($sizePerBlock)", part, ms)
+    row(prep, IEJoinPart.build(cfg.s, cfg.t, cfg.dims, cfg.band, cfg.w, sizePerBlock,
+      prep.sample))(_ => s"IEJoin($sizePerBlock)")
   }
 }

@@ -114,7 +114,7 @@ object TablesSpecial {
         ebirdCloud(spark, "ebird-cloud bw~(2,2,2)", ebirdCloudEps(spark, 2134.0 / 890)),
         Tables.ebirdCloud222Paper - "RecPart") { p =>
       betas.map(b => Harness.recPart(p, symmetric = true,
-        model = CostModel.paperStyle(1.0, b.toDouble)).copy(name = s"RecPart(beta2=$b)")) ++
+        model = CostModel.paperStyle(1.0, b.toDouble)).copy(strategy = s"RecPart(beta2=$b)")) ++
         // competitors are β-independent (they ignore the model)
         Seq(Harness.csIo(p), Harness.oneBucket(p)) ++ Harness.gridEps(p)
     }
@@ -232,7 +232,7 @@ object TablesSpecial {
     val checks = Seq(
       ("median relative error below 60%", median < 0.6),
       ("all coefficients non-negative directionality (I, Im terms)",
-        b(1) > -1e-6 || b(2) > 0))
+        b(1) > 0 || b(2) > 0))
     TableOutput("Table 12: running-time model accuracy (local calibration: " +
       f"M = ${b(0)}%.1f + ${b(1)}%.6f*I + ${b(2)}%.6f*Im + ${b(3)}%.6f*Om ms; " +
       "paper: <20% error in over 70% of cases, never off by more than 1.8x)",

@@ -140,9 +140,8 @@ object EquivalenceProbe {
       "RecPart-S" -> rec(false),
       "RecPart" -> rec(true),
       "1-Bucket" -> OneBucket.forWorkers(w),
-      "CS_IO" -> CsIo.build(s, t, dims, band, w, sample, g0 = 24).part,
-      "CS_IO-default-g" -> CsIo.build(s, t, dims, band, w, sample).part,
-      "IEJoin" -> IEJoinPart.build(s, t, dims, band, w, sizePerBlock = 64, sample)._1,
+      "CS_IO-default-g" -> CsIo.build(s, t, dims, band, w, sample),
+      "IEJoin" -> IEJoinPart.build(s, t, dims, band, w, sizePerBlock = 64, sample),
     ) ++ (if (band.eps.forall(_ > 0)) Seq("Grid-eps" -> GridEps(band, w)) else Nil)
   }
 

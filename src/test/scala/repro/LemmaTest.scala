@@ -79,7 +79,7 @@ class LemmaTest extends SparkSpec {
       RecPart.optimize(sample, region, band, RecPartConfig(4)).partitioning,
       repro.baselines.OneBucket.forWorkers(4),
       GridEps(band, 4),
-      repro.baselines.CsIo.build(s, t, Seq("a1"), band, 4, sample, g0 = 12).part)
+      repro.baselines.CsIo.build(s, t, Seq("a1"), band, 4, sample))
     for (p <- parts) {
       val pairs = BandJoinExec.pairs(s, t, Seq("a1"), band, p)
       val m = Metrics.compute(s, t, Seq("a1"), p, pairs)

@@ -8,7 +8,7 @@ class IEJoinPartTest extends SparkSpec {
   private def build(s: org.apache.spark.sql.DataFrame, t: org.apache.spark.sql.DataFrame,
                     band: BandSpec, w: Int, spb: Int) = {
     val sample = Samples.draw(s, t, Seq("a1"), band, 400, 400, seed = 5)
-    IEJoinPart.build(s, t, Seq("a1"), band, w, spb, sample)._1
+    IEJoinPart.build(s, t, Seq("a1"), band, w, spb, sample)
   }
 
   test("blockOf respects boundaries") {
@@ -54,7 +54,7 @@ class IEJoinPartTest extends SparkSpec {
     val band = BandSpec(Array(0.5, 0.5, 0.5))
     val sDf = TestData.df(spark, s); val tDf = TestData.df(spark, t)
     val sample = Samples.draw(sDf, tDf, TestData.dims(3), band, 300, 300, seed = 9)
-    val part = IEJoinPart.build(sDf, tDf, TestData.dims(3), band, 4, 40, sample)._1
+    val part = IEJoinPart.build(sDf, tDf, TestData.dims(3), band, 4, 40, sample)
     PartitionLaws.checkAll(part, band, s, t)
   }
 

@@ -19,8 +19,8 @@ class BandJoinExecTest extends SparkSpec {
       RecPartConfig(w, symmetric = false)).partitioning
     val rec = RecPart.optimize(sample, sample.region, band,
       RecPartConfig(w, symmetric = true)).partitioning
-    val cs = CsIo.build(s, t, dims, band, w, sample, g0 = 24).part
-    val ie = IEJoinPart.build(s, t, dims, band, w, sizePerBlock = 64, sample)._1
+    val cs = CsIo.build(s, t, dims, band, w, sample)
+    val ie = IEJoinPart.build(s, t, dims, band, w, sizePerBlock = 64, sample)
     val base = Seq(
       "RecPart-S" -> (recS: BandPartitioning),
       "RecPart" -> rec,

@@ -70,6 +70,25 @@ class SplitTreeTest extends AnyFunSuite {
     }
   }
 
+  test("a pair ε apart after rounding meets across a split, in both roles") {
+    // t − ε rounds above s, but |s − t| rounds to ε, so the pair matches.
+    val (lo, hi, band) = (2.0308902962218234, 1002.0308902962219, BandSpec(Array(1000.0)))
+    assert(band.matches(Array(lo), Array(hi)))
+    for ((dupT, s, t) <- Seq((true, lo, hi), (false, hi, lo))) {
+      val root = InnerNode(0, Math.nextUp(lo), dupT, leaf(0), leaf(1, base = 1))
+      PartitionLaws.checkAll(treePartitioning(root, band, 2), band, Seq((0L, Array(s))),
+        Seq((1L, Array(t))))
+    }
+  }
+
+  test("at ε = ∞ a T at +∞ is copied across a split to the S left of it") {
+    val band = BandSpec(Array(Double.PositiveInfinity))
+    val root = InnerNode(0, 5.0, duplicateT = true, leaf(0), leaf(1, base = 1))
+    assert(SplitTree.assignT(root, band, Array(Double.PositiveInfinity), 1L).toSet == Set(0, 1))
+    PartitionLaws.checkAll(treePartitioning(root, band, 2), band, Seq((0L, Array(1.0))),
+      Seq((1L, Array(Double.PositiveInfinity)), (2L, Array(Double.PositiveInfinity))))
+  }
+
   test("1-Bucket leaf: S gets a full row, T a full column") {
     val l = leaf(3, r = 3, c = 4)
     val band = BandSpec(Array(1.0))

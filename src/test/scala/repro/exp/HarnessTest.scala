@@ -27,16 +27,17 @@ class HarnessTest extends SparkSpec {
       Harness.oneBucket(prep)) ++ Harness.gridEps(prep) ++ Harness.gridStar(prep)
     assert(results.size == 6)
     for (r <- results) {
-      assert(r.m.i >= r.m.inputLowerBound, s"${r.name}: I below lower bound")
-      assert(r.m.outCount == prep.pairs.count(), s"${r.name}: wrong output count")
-      assert(r.predicted > 0)
+      assert(r.i >= r.sCount + r.tCount, s"${r.strategy}: I below lower bound")
+      assert(r.outCount == prep.pairs.count(), s"${r.strategy}: wrong output count")
+      assert(r.predT > 0)
+      assert(r.timing.optMs.exists(_ >= 0), s"${r.strategy}: no optimization time")
     }
   }
 
   test("RecPart-S achieves lower duplication than 1-Bucket") {
     val rec = Harness.recPart(prep, symmetric = false)
     val ob = Harness.oneBucket(prep)
-    assert(rec.m.i < ob.m.i)
+    assert(rec.i < ob.i)
   }
 
   test("gridEps is None for zero band width") {
@@ -50,8 +51,8 @@ class HarnessTest extends SparkSpec {
 
   test("ieJoin runs with a block-size parameter") {
     val r = Harness.ieJoin(prep, sizePerBlock = 100)
-    assert(r.m.i >= r.m.inputLowerBound)
-    assert(r.name.contains("100"))
+    assert(r.i >= r.sCount + r.tCount)
+    assert(r.strategy == "IEJoin(100)")
   }
 
   test("run unpersists S, T and the pair set when it returns and when a strategy throws") {
